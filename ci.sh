@@ -2,7 +2,12 @@
 #===------------------------------------------------------------------------===#
 # ci.sh — the whole gate in one script.
 #
-#   1. Tier-1 verify (ROADMAP.md): configure, build, full ctest.
+#   1. Tier-1 verify (ROADMAP.md): configure, build, full ctest.  Then
+#      runtime_test, pipeline_test and serve_test run once more, each as
+#      one shuffled, twice-repeated process: their counters are
+#      process-wide registry series, and ctest's one-process-per-test
+#      mode would hide a test that asserts an absolute value where it
+#      must assert a delta.
 #   2. Scalar-dispatch leg: the tier-1 label re-runs with EFC_SIMD=scalar,
 #      forcing every vectorized scanner (nibble shufti, run kernels,
 #      spec pairs) down to the portable paths — the SIMD kernels must be
@@ -79,6 +84,9 @@ echo "== [1/12] tier-1 verify =="
 cmake -B "$BUILD" -S .
 cmake --build "$BUILD" -j
 (cd "$BUILD" && ctest --output-on-failure -j)
+for T in runtime_test pipeline_test serve_test; do
+  "$BUILD/tests/$T" --gtest_shuffle --gtest_repeat=2 --gtest_brief=1
+done
 
 echo "== [2/12] EFC_SIMD=scalar tier-1 (vector kernels forced off) =="
 if [ "${EFC_SKIP_SCALAR:-0}" = "1" ]; then

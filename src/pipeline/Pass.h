@@ -33,6 +33,7 @@
 #include "fusion/Fusion.h"
 #include "parallel/ChunkPlanner.h"
 #include "rbbe/Rbbe.h"
+#include "support/Metrics.h"
 #include "vm/FastPath.h"
 #include "vm/Vm.h"
 
@@ -178,6 +179,20 @@ public:
     (void)Err;
     return true;
   }
+
+  /// This pass's registry series (label pass="<name>"), bound once when
+  /// the pass registers, so running it looks nothing up by name.
+  struct Series {
+    metrics::Counter *Runs = nullptr;
+    metrics::DoubleCounter *Seconds = nullptr;
+    metrics::Counter *CacheHits = nullptr;
+    metrics::Counter *CacheMisses = nullptr;
+  };
+  const Series &series() const { return Counts; }
+
+private:
+  friend class PassRegistry;
+  Series Counts;
 };
 
 /// Process-wide pass registry.  Builtin passes register on first use;

@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <list>
-#include <map>
 #include <mutex>
 #include <sstream>
 #include <unordered_map>
@@ -38,24 +37,20 @@ public:
     return C;
   }
 
-  bool lookup(std::string_view PassName, const std::string &Key,
-              PassArtifacts &Out) {
+  bool lookup(const Pass &P, const std::string &Key, PassArtifacts &Out) {
     std::lock_guard<std::mutex> L(Mu);
     auto It = Map.find(Key);
     if (It == Map.end() || Capacity == 0) {
-      ++stats(PassName).Misses;
-      missCounter(PassName).inc();
+      P.series().CacheMisses->inc();
       return false;
     }
     Lru.splice(Lru.begin(), Lru, It->second.LruIt);
     Out = It->second.A;
-    ++stats(PassName).Hits;
-    hitCounter(PassName).inc();
+    P.series().CacheHits->inc();
     return true;
   }
 
-  void insert(std::string_view PassName, const std::string &Key,
-              PassArtifacts A) {
+  void insert(const std::string &Key, PassArtifacts A) {
     std::lock_guard<std::mutex> L(Mu);
     if (Capacity == 0)
       return;
@@ -69,23 +64,29 @@ public:
     while (Map.size() > Capacity) {
       Map.erase(Lru.back());
       Lru.pop_back();
-      ++Evictions;
-      (void)PassName;
-      metrics::Registry::instance()
-          .counter("efc_pass_cache_evictions_total",
-                   "Per-pass artifact cache evictions")
-          .inc();
+      Evictions.inc();
     }
   }
 
   PassCacheStats snapshot() {
-    std::lock_guard<std::mutex> L(Mu);
     PassCacheStats S;
-    S.Entries = Map.size();
+    {
+      std::lock_guard<std::mutex> L(Mu);
+      S.Entries = Map.size();
+    }
     S.Capacity = Capacity;
-    S.Evictions = Evictions;
-    for (const auto &[Name, Row] : PerPass)
-      S.Rows.push_back({Name, Row.Hits, Row.Misses});
+    S.Evictions = Evictions.value();
+    auto &Reg = PassRegistry::instance();
+    for (const std::string &Name : Reg.names()) {
+      const Pass::Series &C = Reg.lookup(Name)->series();
+      uint64_t Hits = C.CacheHits->value(), Misses = C.CacheMisses->value();
+      if (Hits || Misses)
+        S.Rows.push_back({Name, Hits, Misses});
+    }
+    std::sort(S.Rows.begin(), S.Rows.end(),
+              [](const PassCacheStats::Row &A, const PassCacheStats::Row &B) {
+                return A.Pass < B.Pass;
+              });
     return S;
   }
 
@@ -93,43 +94,24 @@ public:
     std::lock_guard<std::mutex> L(Mu);
     Map.clear();
     Lru.clear();
-    PerPass.clear();
-    Evictions = 0;
   }
 
 private:
   PassCache()
-      : Capacity(env::u64("EFC_PASS_CACHE_CAP", 64, 0, 1 << 20)) {}
+      : Capacity(env::u64("EFC_PASS_CACHE_CAP", 64, 0, 1 << 20)),
+        Evictions(metrics::Registry::instance().counter(
+            "efc_pass_cache_evictions_total",
+            "Per-pass artifact cache evictions")) {}
 
   struct Entry {
     PassArtifacts A;
     std::list<std::string>::iterator LruIt;
   };
-  struct Row {
-    uint64_t Hits = 0;
-    uint64_t Misses = 0;
-  };
-
-  Row &stats(std::string_view PassName) {
-    return PerPass[std::string(PassName)];
-  }
-  metrics::Counter &hitCounter(std::string_view PassName) {
-    return metrics::Registry::instance().counter(
-        "efc_pass_cache_hits_total", "Per-pass artifact cache hits",
-        "pass=\"" + std::string(PassName) + "\"");
-  }
-  metrics::Counter &missCounter(std::string_view PassName) {
-    return metrics::Registry::instance().counter(
-        "efc_pass_cache_misses_total", "Per-pass artifact cache misses",
-        "pass=\"" + std::string(PassName) + "\"");
-  }
-
   std::mutex Mu;
   std::unordered_map<std::string, Entry> Map;
   std::list<std::string> Lru; // front = most recent
-  std::map<std::string, Row> PerPass;
-  uint64_t Evictions = 0;
   const uint64_t Capacity;
+  metrics::Counter &Evictions;
 };
 
 std::string cacheKey(std::string_view PassName, uint64_t InHash,
@@ -253,10 +235,7 @@ bool PassManager::run(PassContext &PC, const PipelineOptions &O,
     R.InHash = P->inputHash(PC);
     uint64_t OptHash = P->optionsHash(O);
 
-    metrics::Registry::instance()
-        .counter("efc_pass_runs_total", "Compile pass executions",
-                 "pass=\"" + Name + "\"")
-        .inc();
+    P->series().Runs->inc();
 
     // Raw-mode contexts (no IrChain) own their TermContext on the stack;
     // cached artifacts would dangle past it, so caching requires a chain.
@@ -264,7 +243,7 @@ bool PassManager::run(PassContext &PC, const PipelineOptions &O,
     if (Cacheable) {
       std::string Key = cacheKey(Name, R.InHash, OptHash);
       PassArtifacts A;
-      if (PassCache::instance().lookup(Name, Key, A)) {
+      if (PassCache::instance().lookup(*P, Key, A)) {
         P->load(A, PC);
         if (P->transformsIr()) {
           // Adopt the cached artifact's chain: PC.Ir's terms live in
@@ -324,10 +303,7 @@ bool PassManager::run(PassContext &PC, const PipelineOptions &O,
     }
     R.Seconds = W.seconds();
     R.Note = std::move(Note);
-    metrics::Registry::instance()
-        .dcounter("efc_pass_seconds_total", "Compile pass wall seconds",
-                  "pass=\"" + Name + "\"")
-        .add(R.Seconds);
+    P->series().Seconds->add(R.Seconds);
     if (!Ok)
       return false;
 
@@ -339,8 +315,8 @@ bool PassManager::run(PassContext &PC, const PipelineOptions &O,
       A.Chain = PC.Chain;
       if (P->transformsIr())
         A.IrHash = PC.IrHash;
-      PassCache::instance().insert(
-          Name, cacheKey(Name, R.InHash, OptHash), std::move(A));
+      PassCache::instance().insert(cacheKey(Name, R.InHash, OptHash),
+                                   std::move(A));
     }
     PC.Runs.push_back(std::move(R));
   }

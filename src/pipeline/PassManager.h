@@ -23,14 +23,16 @@
 
 namespace efc::pipeline {
 
-/// Per-pass hit/miss counters of the process-wide artifact cache.
+/// Per-pass hit/miss counts of the process-wide artifact cache, read
+/// from the efc_pass_cache_{hits,misses}_total registry series: process
+/// totals, so compare two snapshots to count one piece of work.
 struct PassCacheStats {
   struct Row {
     std::string Pass;
     uint64_t Hits = 0;
     uint64_t Misses = 0;
   };
-  std::vector<Row> Rows; ///< sorted by pass name
+  std::vector<Row> Rows; ///< passes with lookups, sorted by name
   uint64_t Entries = 0;
   uint64_t Capacity = 0;
   uint64_t Evictions = 0;
@@ -65,7 +67,8 @@ public:
   std::string explain(const PipelineOptions &O) const;
 
   static PassCacheStats cacheStats();
-  /// Drops every cached artifact and zeroes the counters (tests).
+  /// Drops every cached artifact (tests, benchmarks).  The counters are
+  /// registry totals and keep counting.
   static void resetCacheForTests();
 
 private:

@@ -419,6 +419,16 @@ bool PassRegistry::add(std::unique_ptr<Pass> P) {
   std::lock_guard<std::mutex> L(I->Mu);
   if (I->ByName.count(P->name()))
     return false;
+  auto &R = metrics::Registry::instance();
+  std::string Label = "pass=\"" + std::string(P->name()) + "\"";
+  P->Counts = {
+      &R.counter("efc_pass_runs_total", "Compile pass executions", Label),
+      &R.dcounter("efc_pass_seconds_total", "Compile pass wall seconds",
+                  Label),
+      &R.counter("efc_pass_cache_hits_total", "Per-pass artifact cache hits",
+                 Label),
+      &R.counter("efc_pass_cache_misses_total",
+                 "Per-pass artifact cache misses", Label)};
   const Pass *Raw = P.get();
   I->Passes.push_back(std::move(P));
   I->ByName.emplace(Raw->name(), Raw);

@@ -225,21 +225,19 @@ CompiledPipeline::native(std::string *Err, NativeOutcome *Outcome,
 
 namespace {
 
-/// Registry mirrors of PipelineCache::Stats.
+/// The registry series the cache counts into and its stats line reads.
 struct CacheMetrics {
-  metrics::Counter &Hits;
-  metrics::Counter &Misses;
-  metrics::Counter &Coalesced;
-  metrics::Counter &NegativeHits;
-  metrics::Counter &Evictions;
-  metrics::Counter &Builds;
+  metrics::Counter &Hits, &Misses, &Coalesced, &NegativeHits, &Evictions,
+      &Builds;
   metrics::DoubleCounter &BuildSeconds;
-  metrics::Counter &PlanTableStates;
-  metrics::Counter &PlanAccelStates;
-  metrics::Counter &PlanRunKernels;
-  metrics::Counter &PlanNibbleKernels;
-  metrics::Counter &PlanWideStates;
-  metrics::Counter &PlanSpecPairs;
+  metrics::Counter &PlanTableStates, &PlanAccelStates, &PlanRunKernels,
+      &PlanNibbleKernels, &PlanWideStates, &PlanSpecPairs, &ParEligible;
+  metrics::Counter &CertCertified, &CertUnverified, &CertRefuted,
+      &CertTimeouts;
+  metrics::DoubleCounter &CertSeconds;
+  // Counted by NativeTransducer::compile, shown on the stats line.
+  metrics::Counter &NativeCompiles, &NativeDiskHits;
+  metrics::DoubleCounter &NativeCompileSeconds;
   static CacheMetrics &get() {
     auto &R = metrics::Registry::instance();
     static CacheMetrics M{
@@ -265,29 +263,9 @@ struct CacheMetrics {
         R.counter("efc_fastpath_plan_wide_states_total",
                   "States with a wide-domain (width > 8) table"),
         R.counter("efc_fastpath_plan_spec_pairs_total",
-                  "Two-state speculative alternating pairs")};
-    // The scan-kernel ISA level is process-wide and fixed after the
-    // first probe; expose it once so dashboards can correlate
-    // throughput with the dispatched instruction set.
-    metrics::Registry::instance()
-        .gauge("efc_simd_level",
-               "Active SIMD dispatch level (0=scalar 1=sse2 2=avx2 "
-               "3=avx512)")
-        .set(int64_t(simd::activeLevel()));
-    return M;
-  }
-};
-
-/// Registry mirrors of the certification counters (EFC_CERTIFY builds).
-struct CertifyMetrics {
-  metrics::Counter &Certified;
-  metrics::Counter &Unverified;
-  metrics::Counter &Refuted;
-  metrics::Counter &Timeouts;
-  metrics::DoubleCounter &Seconds;
-  static CertifyMetrics &get() {
-    auto &R = metrics::Registry::instance();
-    static CertifyMetrics M{
+                  "Two-state speculative alternating pairs"),
+        R.counter("efc_cache_par_eligible_total",
+                  "Pipeline builds whose parallel plan is usable"),
         R.counter("efc_certify_certified_total",
                   "Pipeline builds certified end-to-end"),
         R.counter("efc_certify_unverified_total",
@@ -297,7 +275,18 @@ struct CertifyMetrics {
         R.counter("efc_certify_timeouts_total",
                   "Per-state certification budget exhaustions"),
         R.dcounter("efc_certify_seconds_total",
-                   "Wall time spent in equivalence certification")};
+                   "Wall time spent in equivalence certification"),
+        R.counter("efc_native_compiles_total", "Host-compiler invocations"),
+        R.counter("efc_native_disk_hits_total",
+                  "Compiles satisfied by the on-disk artifact cache"),
+        R.dcounter("efc_native_compile_seconds_total",
+                   "Host-compiler wall time")};
+    // The scan-kernel ISA level is process-wide and fixed after the
+    // first probe; expose it once so dashboards can correlate
+    // throughput with the dispatched instruction set.
+    R.gauge("efc_simd_level",
+            "Active SIMD dispatch level (0=scalar 1=sse2 2=avx2 3=avx512)")
+        .set(int64_t(simd::activeLevel()));
     return M;
   }
 };
@@ -323,7 +312,6 @@ void PipelineCache::evictOverflow() {
       continue;
     It = Lru.erase(It);
     Map.erase(M);
-    ++Counters.Evictions;
     CacheMetrics::get().Evictions.inc();
   }
 }
@@ -406,7 +394,7 @@ std::shared_ptr<CompiledPipeline> buildPipeline(const PipelineSpec &Spec,
     P->CertTimeouts = CR.TimedOutStates;
     CertSp.note("status",
                 std::string_view(verify::certStatusName(CR.Status)));
-    CertifyMetrics::get().Seconds.add(CR.Seconds);
+    CacheMetrics::get().CertSeconds.add(CR.Seconds);
   }
   P->BuildSeconds = Total.seconds();
   return P;
@@ -428,18 +416,15 @@ PipelineCache::get(const PipelineSpec &Spec, bool WantNative,
       S = It->second.S;
       touch(It->second);
       if (S->Building) {
-        ++Counters.Coalesced;
         CacheMetrics::get().Coalesced.inc();
         S->Cv.wait(L, [&] { return !S->Building; });
       } else if (S->Ready) {
-        ++Counters.Hits;
         CacheMetrics::get().Hits.inc();
       } else {
         // Published spec *error*: deterministic (bad pattern / unknown
         // enum), so serving it from cache is correct — but it is not a
         // hit.  Transient native failures never land here; they are
         // retried at the entry level (CompiledPipeline::native).
-        ++Counters.NegativeHits;
         CacheMetrics::get().NegativeHits.inc();
       }
     } else {
@@ -447,7 +432,6 @@ PipelineCache::get(const PipelineSpec &Spec, bool WantNative,
       Lru.push_front(Key);
       Map.emplace(Key, MapEntry{S, Lru.begin()});
       evictOverflow();
-      ++Counters.Misses;
       CacheMetrics::get().Misses.inc();
       Builder = true;
     }
@@ -459,17 +443,7 @@ PipelineCache::get(const PipelineSpec &Spec, bool WantNative,
     std::lock_guard<std::mutex> L(Mu);
     S->Building = false;
     if (P) {
-      ++Counters.Builds;
-      Counters.BuildSeconds += P->BuildSeconds;
       const FastPathPlan::Stats &FS = P->Fast->stats();
-      Counters.FastTableStates += FS.TableStates;
-      Counters.FastAccelStates += FS.AccelStates;
-      Counters.FastRunKernels +=
-          FS.SkipKernels + FS.CopyKernels + FS.ConstAppendKernels;
-      Counters.FastNibbleKernels += FS.NibbleKernels;
-      Counters.FastWideStates += FS.WideStates;
-      Counters.FastSpecPairs += FS.SpecPairs;
-      Counters.ParEligible += P->Par && P->Par->eligible() ? 1 : 0;
       CacheMetrics &CM = CacheMetrics::get();
       CM.Builds.inc();
       CM.BuildSeconds.add(P->BuildSeconds);
@@ -480,23 +454,20 @@ PipelineCache::get(const PipelineSpec &Spec, bool WantNative,
       CM.PlanNibbleKernels.inc(FS.NibbleKernels);
       CM.PlanWideStates.inc(FS.WideStates);
       CM.PlanSpecPairs.inc(FS.SpecPairs);
-      CertifyMetrics &XM = CertifyMetrics::get();
-      Counters.CertTimeouts += P->CertTimeouts;
-      XM.Timeouts.inc(P->CertTimeouts);
+      if (P->Par && P->Par->eligible())
+        CM.ParEligible.inc();
+      CM.CertTimeouts.inc(P->CertTimeouts);
       switch (P->Cert) {
       case verify::CertStatus::Unchecked:
         break;
       case verify::CertStatus::Certified:
-        ++Counters.CertCertified;
-        XM.Certified.inc();
+        CM.CertCertified.inc();
         break;
       case verify::CertStatus::Unverified:
-        ++Counters.CertUnverified;
-        XM.Unverified.inc();
+        CM.CertUnverified.inc();
         break;
       case verify::CertStatus::Refuted:
-        ++Counters.CertRefuted;
-        XM.Refuted.inc();
+        CM.CertRefuted.inc();
         break;
       }
       if (P->Cert == verify::CertStatus::Refuted) {
@@ -526,19 +497,7 @@ PipelineCache::get(const PipelineSpec &Spec, bool WantNative,
     // Outside Mu: a native compile can take seconds and must not stall
     // unrelated lookups.  The entry's own lock single-flights it.
     std::string NErr;
-    CompiledPipeline::NativeOutcome Outcome;
-    NativeCompileInfo NInfo;
-    const NativeTransducer *N = S->Ready->native(&NErr, &Outcome, &NInfo);
-    {
-      std::lock_guard<std::mutex> L(Mu);
-      if (Outcome == CompiledPipeline::NativeOutcome::Compiled) {
-        ++Counters.NativeCompiles;
-        Counters.NativeCompileMs += NInfo.CompileMs;
-      } else if (Outcome == CompiledPipeline::NativeOutcome::DiskHit) {
-        ++Counters.NativeDiskHits;
-      }
-    }
-    if (!N) {
+    if (!S->Ready->native(&NErr)) {
       if (Err)
         *Err = "native backend unavailable: " + NErr;
       return nullptr;
@@ -547,17 +506,14 @@ PipelineCache::get(const PipelineSpec &Spec, bool WantNative,
   return S->Ready;
 }
 
-PipelineCache::Stats PipelineCache::stats() const {
-  std::lock_guard<std::mutex> L(Mu);
-  return Counters;
-}
-
 size_t PipelineCache::size() const {
   std::lock_guard<std::mutex> L(Mu);
   return Map.size();
 }
 
-std::string PipelineCache::Stats::str() const {
+std::string PipelineCache::statsText() {
+  using ull = unsigned long long;
+  const CacheMetrics &M = CacheMetrics::get();
   char Buf[768];
   snprintf(Buf, sizeof(Buf),
            "hits=%llu misses=%llu coalesced=%llu negative_hits=%llu "
@@ -569,22 +525,17 @@ std::string PipelineCache::Stats::str() const {
            "fast_wide_states=%llu fast_spec_pairs=%llu par_eligible=%llu "
            "cert_certified=%llu cert_unverified=%llu cert_refuted=%llu "
            "certify_timeouts=%llu",
-           (unsigned long long)Hits, (unsigned long long)Misses,
-           (unsigned long long)Coalesced, (unsigned long long)NegativeHits,
-           (unsigned long long)Evictions,
-           (unsigned long long)Builds, BuildSeconds,
-           (unsigned long long)NativeCompiles,
-           (unsigned long long)NativeDiskHits, NativeCompileMs,
-           (unsigned long long)FastTableStates,
-           (unsigned long long)FastAccelStates,
-           (unsigned long long)FastRunKernels,
-           (unsigned long long)FastNibbleKernels,
-           (unsigned long long)FastWideStates,
-           (unsigned long long)FastSpecPairs,
-           (unsigned long long)ParEligible,
-           (unsigned long long)CertCertified,
-           (unsigned long long)CertUnverified,
-           (unsigned long long)CertRefuted,
-           (unsigned long long)CertTimeouts);
+           ull(M.Hits.value()), ull(M.Misses.value()),
+           ull(M.Coalesced.value()), ull(M.NegativeHits.value()),
+           ull(M.Evictions.value()), ull(M.Builds.value()),
+           M.BuildSeconds.value(), ull(M.NativeCompiles.value()),
+           ull(M.NativeDiskHits.value()),
+           M.NativeCompileSeconds.value() * 1e3,
+           ull(M.PlanTableStates.value()), ull(M.PlanAccelStates.value()),
+           ull(M.PlanRunKernels.value()), ull(M.PlanNibbleKernels.value()),
+           ull(M.PlanWideStates.value()), ull(M.PlanSpecPairs.value()),
+           ull(M.ParEligible.value()), ull(M.CertCertified.value()),
+           ull(M.CertUnverified.value()), ull(M.CertRefuted.value()),
+           ull(M.CertTimeouts.value()));
   return Buf;
 }

@@ -124,7 +124,7 @@ public:
   double CertifySeconds = 0; ///< certification wall time
   unsigned CertTimeouts = 0; ///< per-state budget exhaustions
 
-  /// How a native() call was satisfied (for cache counters).
+  /// How a native() call was satisfied.
   enum class NativeOutcome {
     Ready,    ///< already resident in this entry
     Compiled, ///< host compiler invoked now
@@ -156,31 +156,6 @@ private:
 /// In-memory LRU of CompiledPipelines with single-flight builds.
 class PipelineCache {
 public:
-  struct Stats {
-    uint64_t Hits = 0;         ///< served from memory
-    uint64_t Misses = 0;       ///< triggered a build
-    uint64_t Coalesced = 0;    ///< waited on another caller's build
-    uint64_t NegativeHits = 0; ///< served a cached spec *error*
-    uint64_t Evictions = 0;
-    uint64_t Builds = 0;         ///< fusions performed
-    uint64_t NativeCompiles = 0; ///< host-compiler invocations
-    uint64_t NativeDiskHits = 0; ///< .so served from the artifact cache
-    double BuildSeconds = 0;     ///< cumulative fusion+opt+VM time
-    double NativeCompileMs = 0;  ///< cumulative host-compiler time
-    uint64_t FastTableStates = 0; ///< fast-path plan stats, summed over
-    uint64_t FastAccelStates = 0; ///< built entries (coverage telemetry)
-    uint64_t FastRunKernels = 0;
-    uint64_t FastNibbleKernels = 0; ///< kernels with a shufti encoding
-    uint64_t FastWideStates = 0;    ///< states with a wide-domain table
-    uint64_t FastSpecPairs = 0;     ///< speculative alternating pairs
-    uint64_t ParEligible = 0; ///< builds whose parallel plan is usable
-    uint64_t CertCertified = 0;  ///< builds certified end-to-end
-    uint64_t CertUnverified = 0; ///< builds degraded by budget/Unknown
-    uint64_t CertRefuted = 0;    ///< builds rejected at admission
-    uint64_t CertTimeouts = 0;   ///< per-state budget exhaustions, summed
-    std::string str() const; ///< one-line rendering for stats dumps
-  };
-
   explicit PipelineCache(size_t Capacity = 32);
 
   /// Returns the entry for \p Spec, building it at most once across all
@@ -192,8 +167,12 @@ public:
   get(const PipelineSpec &Spec, bool WantNative = false,
       std::string *Err = nullptr);
 
-  Stats stats() const;
   size_t size() const;
+
+  /// One-line rendering of the cache counters for stats dumps ("hits=…
+  /// misses=… builds=…"), read from the metrics registry.  The values
+  /// are process totals over every PipelineCache, not this instance's.
+  static std::string statsText();
 
 private:
   /// Single-flight slot: holds either the build-in-progress marker or
@@ -216,7 +195,6 @@ private:
   size_t Capacity;
   std::list<std::string> Lru; ///< front = most recently used key
   std::unordered_map<std::string, MapEntry> Map;
-  Stats Counters;
 };
 
 } // namespace efc::runtime

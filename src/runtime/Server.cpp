@@ -30,57 +30,17 @@ namespace {
 constexpr size_t MaxFrame = 64u << 20;
 constexpr size_t ReadChunk = 64u << 10;
 
+metrics::Registry &reg() { return metrics::Registry::instance(); }
+
+std::string shardLabel(unsigned Id) {
+  return "shard=\"" + std::to_string(Id) + "\"";
+}
+
 uint64_t steadyMs() {
   return uint64_t(std::chrono::duration_cast<std::chrono::milliseconds>(
                       std::chrono::steady_clock::now().time_since_epoch())
                       .count());
 }
-
-/// Registry mirrors of the aggregate server counters plus serving-path
-/// distributions (per-shard families are bound per shard in start()).
-struct ServerMetrics {
-  metrics::Counter &SessionsOpened;
-  metrics::Counter &SessionsEvicted;
-  metrics::Counter &FramesIn;
-  metrics::Counter &Replies;
-  metrics::Counter &Errors;
-  metrics::Counter &Rejected;
-  metrics::Counter &FramesDropped;
-  metrics::Counter &BytesIn;
-  metrics::Counter &BytesOut;
-  metrics::Counter &CrossForwards;
-  metrics::Gauge &QueueDepth;
-  metrics::Histogram &FeedLatency;
-  metrics::Histogram &FeedBytes;
-  static ServerMetrics &get() {
-    auto &R = metrics::Registry::instance();
-    static ServerMetrics M{
-        R.counter("efc_server_sessions_opened_total", "Sessions opened"),
-        R.counter("efc_server_sessions_evicted_total",
-                  "Sessions reaped by the idle-eviction sweep"),
-        R.counter("efc_server_frames_in_total", "Request frames received"),
-        R.counter("efc_server_replies_total", "Response frames sent"),
-        R.counter("efc_server_errors_total", "Error responses sent"),
-        R.counter("efc_server_rejected_total",
-                  "Streams rejected by a pipeline"),
-        R.counter("efc_server_frames_dropped_total",
-                  "Responses lost to dead or over-backlog connections"),
-        R.counter("efc_server_bytes_in_total", "Session input bytes fed"),
-        R.counter("efc_server_bytes_out_total",
-                  "Session output bytes produced"),
-        R.counter("efc_server_cross_shard_forwards_total",
-                  "Frames forwarded to a session's home shard"),
-        R.gauge("efc_server_queue_depth",
-                "Reply frames queued across all connections"),
-        R.histogram("efc_server_feed_latency_seconds",
-                    "Per-frame feed execution time",
-                    {1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 0.01, 0.03, 0.1,
-                     0.3, 1.0, 3.0}),
-        R.histogram("efc_server_feed_bytes", "Feed frame payload size",
-                    {64, 256, 1024, 4096, 16384, 65536, 262144, 1048576})};
-    return M;
-  }
-};
 
 } // namespace
 
@@ -153,7 +113,34 @@ bool efc::runtime::recvFrame(int Fd, std::string &Payload) {
 //===----------------------------------------------------------------------===//
 
 Server::Server(ServerOptions O)
-    : Opts(std::move(O)), Cache(Opts.CacheCapacity) {
+    : Opts(std::move(O)), Cache(Opts.CacheCapacity),
+      SessionsOpened(reg().counter("efc_server_sessions_opened_total",
+                                   "Sessions opened")),
+      SessionsEvicted(
+          reg().counter("efc_server_sessions_evicted_total",
+                        "Sessions reaped by the idle-eviction sweep")),
+      Replies(
+          reg().counter("efc_server_replies_total", "Response frames sent")),
+      Errors(reg().counter("efc_server_errors_total", "Error responses sent")),
+      Rejected(reg().counter("efc_server_rejected_total",
+                             "Streams rejected by a pipeline")),
+      FramesDropped(
+          reg().counter("efc_server_frames_dropped_total",
+                        "Responses lost to dead or over-backlog connections")),
+      BytesIn(reg().counter("efc_server_bytes_in_total",
+                            "Session input bytes fed")),
+      BytesOut(reg().counter("efc_server_bytes_out_total",
+                             "Session output bytes produced")),
+      QueueDepth(reg().gauge("efc_server_queue_depth",
+                             "Reply frames queued across all connections")),
+      FeedLatency(reg().histogram("efc_server_feed_latency_seconds",
+                                  "Per-frame feed execution time",
+                                  {1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 0.01,
+                                   0.03, 0.1, 0.3, 1.0, 3.0})),
+      FeedBytes(reg().histogram("efc_server_feed_bytes",
+                                "Feed frame payload size",
+                                {64, 256, 1024, 4096, 16384, 65536, 262144,
+                                 1048576})) {
   if (Opts.Shards == 0)
     Opts.Shards = 1;
   if (Opts.MaxConnBacklog < (1u << 16))
@@ -164,6 +151,27 @@ Server::Server(ServerOptions O)
 }
 
 Server::~Server() { stop(); }
+
+Server::Shard::Shard(unsigned Id)
+    : Id(Id),
+      Accepts(reg().counter("efc_server_accepts_total",
+                            "Connections accepted", shardLabel(Id))),
+      Wakeups(reg().counter("efc_server_epoll_wakeups_total",
+                            "epoll_wait returns", shardLabel(Id))),
+      FramesIn(reg().counter("efc_server_frames_in_total",
+                             "Request frames received", shardLabel(Id))),
+      CrossForwards(reg().counter("efc_server_cross_shard_forwards_total",
+                                  "Frames forwarded to a session's home shard",
+                                  shardLabel(Id))),
+      ConnsLive(reg().gauge("efc_server_conns_live",
+                            "Open connections owned by the shard",
+                            shardLabel(Id))),
+      SessionsLive(reg().gauge("efc_server_sessions_live",
+                               "Open sessions homed on the shard",
+                               shardLabel(Id))),
+      BacklogBytes(reg().gauge("efc_server_out_backlog_bytes",
+                               "Reply bytes queued on the shard's connections",
+                               shardLabel(Id))) {}
 
 bool Server::start(std::string *Err) {
   auto Fail = [&](const std::string &M) {
@@ -201,10 +209,8 @@ bool Server::start(std::string *Err) {
     return false;
   }
 
-  for (unsigned I = 0; I < Opts.Shards; ++I) {
-    Shards.push_back(std::make_unique<Shard>());
-    Shards.back()->Id = I;
-  }
+  for (unsigned I = 0; I < Opts.Shards; ++I)
+    Shards.push_back(std::make_unique<Shard>(I));
 
   // Unix listener: single socket owned by shard 0, accepted fds handed
   // to shards round-robin (Unix sockets have no SO_REUSEPORT balancing).
@@ -297,7 +303,6 @@ bool Server::start(std::string *Err) {
   if (::pipe2(StopPipe, O_NONBLOCK) != 0)
     return Fail("pipe");
 
-  auto &R = metrics::Registry::instance();
   for (auto &SP : Shards) {
     Shard &S = *SP;
     S.Ep = ::epoll_create1(EPOLL_CLOEXEC);
@@ -325,17 +330,6 @@ bool Server::start(std::string *Err) {
     if (S.Id == 0 && TcpListenFd >= 0 &&
         !Add(TcpListenFd, EPOLLIN | EPOLLET))
       return Fail("epoll_ctl tcp listener");
-
-    std::string L = "shard=\"" + std::to_string(S.Id) + "\"";
-    S.MAccepts =
-        &R.counter("efc_server_accepts_total", "Connections accepted", L);
-    S.MWakeups = &R.counter("efc_server_epoll_wakeups_total",
-                            "epoll_wait returns", L);
-    S.MBacklog = &R.gauge("efc_server_out_backlog_bytes",
-                          "Reply bytes queued on this shard's connections",
-                          L);
-    S.MQueueDepth = &R.gauge("efc_server_queue_depth",
-                             "Reply frames queued on this shard", L);
   }
 
   for (auto &SP : Shards)
@@ -473,8 +467,7 @@ void Server::shardLoop(Shard &S) {
         continue;
       break;
     }
-    S.Ct.Wakeups.fetch_add(1, std::memory_order_relaxed);
-    S.MWakeups->inc();
+    S.Wakeups.inc();
     for (int I = 0; I < N; ++I) {
       int Fd = Events[I].data.fd;
       uint32_t Ev = Events[I].events;
@@ -573,8 +566,7 @@ void Server::reapIdle(Shard &S, uint64_t NowMs) {
       Stale.push_back(Name);
   for (auto &Name : Stale) {
     eraseSession(S, Name);
-    S.Ct.SessionsEvicted.fetch_add(1, std::memory_order_relaxed);
-    ServerMetrics::get().SessionsEvicted.inc();
+    SessionsEvicted.inc();
   }
 }
 
@@ -628,9 +620,8 @@ void Server::adoptConn(Shard &S, int Fd) {
     return;
   }
   S.Conns.emplace(Fd, C);
-  S.Ct.Accepts.fetch_add(1, std::memory_order_relaxed);
-  S.MAccepts->inc();
-  S.Ct.ConnsLive.fetch_add(1, std::memory_order_relaxed);
+  S.Accepts.inc();
+  S.ConnsLive.add(1);
   TotalConns.fetch_add(1, std::memory_order_acq_rel);
 }
 
@@ -721,8 +712,7 @@ bool Server::parseFrames(Shard &S, const ConnPtr &C) {
 void Server::execute(Shard &S, const ConnPtr &C, std::string_view Frame) {
   if (Frame.empty())
     return;
-  S.Ct.FramesIn.fetch_add(1, std::memory_order_relaxed);
-  ServerMetrics::get().FramesIn.inc();
+  S.FramesIn.inc();
   char Op = Frame[0];
   if (Op == 'S') {
     reply(S, C, 'k', "", statsText(), "");
@@ -781,8 +771,7 @@ void Server::execute(Shard &S, const ConnPtr &C, std::string_view Frame) {
     return;
   }
   C->CrossPending++;
-  S.Ct.CrossForwards.fetch_add(1, std::memory_order_relaxed);
-  ServerMetrics::get().CrossForwards.inc();
+  S.CrossForwards.inc();
   post(HomeShard,
        [this, HomeShard, Op, NameS = std::move(NameS),
         BodyS = std::string(Body), C] {
@@ -870,9 +859,8 @@ void Server::openSession(Shard &S, const ConnPtr &C, std::string_view Name,
     Sess->Stream.emplace(std::move(*St));
     Sess->LastActiveMs = steadyMs();
     S.Sessions.emplace(NameS, std::move(Sess));
-    S.Ct.SessionsOpened.fetch_add(1, std::memory_order_relaxed);
-    S.Ct.SessionsLive.fetch_add(1, std::memory_order_relaxed);
-    ServerMetrics::get().SessionsOpened.inc();
+    SessionsOpened.inc();
+    S.SessionsLive.add(1);
     reply(S, C, 'k', Name, "", NameS);
   }
 }
@@ -881,7 +869,6 @@ void Server::executeSessionOp(Shard &S, const ConnPtr &C, char Op,
                               std::string_view Name, std::string_view Body,
                               Session &Sess) {
   Sess.LastActiveMs = steadyMs();
-  ServerMetrics &M = ServerMetrics::get();
   switch (Op) {
   case 'F': {
     if (!Sess.Stream) {
@@ -893,15 +880,12 @@ void Server::executeSessionOp(Shard &S, const ConnPtr &C, char Op,
     // forwarded copy); the session consumes it in place.
     bool Ok = Sess.Stream->feed(Body.data(), Body.size());
     std::string Out = Sess.Stream->takeOutput();
-    M.FeedLatency.observe(Timer.seconds());
-    M.FeedBytes.observe(double(Body.size()));
-    M.BytesIn.inc(Body.size());
-    M.BytesOut.inc(Out.size());
-    S.Ct.BytesIn.fetch_add(Body.size(), std::memory_order_relaxed);
-    S.Ct.BytesOut.fetch_add(Out.size(), std::memory_order_relaxed);
+    FeedLatency.observe(Timer.seconds());
+    FeedBytes.observe(double(Body.size()));
+    BytesIn.inc(Body.size());
+    BytesOut.inc(Out.size());
     if (!Ok) {
-      S.Ct.Rejected.fetch_add(1, std::memory_order_relaxed);
-      M.Rejected.inc();
+      Rejected.inc();
       eraseSession(S, Sess.Name);
       reply(S, C, 'e', Name, "input rejected by the pipeline", "");
       return;
@@ -917,12 +901,9 @@ void Server::executeSessionOp(Shard &S, const ConnPtr &C, char Op,
     }
     bool Ok = Sess.Stream->finish();
     std::string Out = Sess.Stream->takeOutput();
-    M.BytesOut.inc(Out.size());
-    S.Ct.BytesOut.fetch_add(Out.size(), std::memory_order_relaxed);
-    if (!Ok) {
-      S.Ct.Rejected.fetch_add(1, std::memory_order_relaxed);
-      M.Rejected.inc();
-    }
+    BytesOut.inc(Out.size());
+    if (!Ok)
+      Rejected.inc();
     eraseSession(S, Sess.Name);
     if (!Ok)
       reply(S, C, 'e', Name, "stream rejected by the finalizer", "");
@@ -944,28 +925,12 @@ void Server::eraseSession(Shard &S, const std::string &Name) {
   auto It = S.Sessions.find(Name);
   if (It == S.Sessions.end())
     return;
-  Session &Sess = *It->second;
-  if (Sess.Stream) {
-    // Fold the session's run-acceleration telemetry into the shard
-    // totals exactly once, at end of life (home-shard-ordered, so the
-    // stream is quiescent here).
-    S.Ct.FastRuns.fetch_add(Sess.Stream->fastRuns(),
-                            std::memory_order_relaxed);
-    S.Ct.FastRunElements.fetch_add(Sess.Stream->fastRunElements(),
-                                   std::memory_order_relaxed);
-    S.Ct.FastWideElements.fetch_add(Sess.Stream->fastWideElements(),
-                                    std::memory_order_relaxed);
-    S.Ct.FastSpecRuns.fetch_add(Sess.Stream->fastSpecRuns(),
-                                std::memory_order_relaxed);
-    S.Ct.FastSpecElements.fetch_add(Sess.Stream->fastSpecElements(),
-                                    std::memory_order_relaxed);
-  }
-  uint64_t Gen = Sess.Gen;
+  uint64_t Gen = It->second->Gen;
   // Copy before the erase: callers routinely pass the session's own Name
   // member, which dies with the map entry.
   std::string Key(Name);
   S.Sessions.erase(It);
-  S.Ct.SessionsLive.fetch_sub(1, std::memory_order_relaxed);
+  S.SessionsLive.sub(1);
   std::lock_guard<std::mutex> L(IndexMu);
   auto HIt = SessionIndex.find(Key);
   if (HIt != SessionIndex.end() && HIt->second.Gen == Gen)
@@ -1002,25 +967,17 @@ void Server::reply(Shard &S, const ConnPtr &C, char Status,
                    std::string_view SessTag) {
   if (C->Owner == S.Id) {
     if (C->Closed) {
-      S.Ct.FramesDropped.fetch_add(1, std::memory_order_relaxed);
-      ServerMetrics::get().FramesDropped.inc();
+      FramesDropped.inc();
       if (!SessTag.empty())
         doomSessionByName(std::string(SessTag), 0);
       return;
     }
     size_t BytesBefore = C->Out.bytes();
     C->Out.push(Status, Name, std::move(Body), SessTag);
-    S.Ct.Replies.fetch_add(1, std::memory_order_relaxed);
-    ServerMetrics::get().Replies.inc();
-    if (Status == 'e') {
-      S.Ct.Errors.fetch_add(1, std::memory_order_relaxed);
-      ServerMetrics::get().Errors.inc();
-    }
-    int64_t Delta = int64_t(C->Out.bytes()) - int64_t(BytesBefore);
-    S.Ct.BacklogBytes.fetch_add(Delta, std::memory_order_relaxed);
-    S.MBacklog->add(Delta);
-    ServerMetrics::get().QueueDepth.add(1);
-    S.MQueueDepth->add(1);
+    Replies.inc();
+    if (Status == 'e')
+      Errors.inc();
+    addBacklog(S, 1, int64_t(C->Out.bytes()) - int64_t(BytesBefore));
     flushConn(S, C);
     return;
   }
@@ -1035,31 +992,15 @@ void Server::queueOnOwner(Shard &Owner, const ConnPtr &C, char Status,
   post(Owner.Id, [this, OwnerId = Owner.Id, C, Status,
                   NameS = std::string(Name), BodyS = std::move(Body),
                   TagS = std::string(SessTag)]() mutable {
-    Shard &O = *Shards[OwnerId];
     if (C->CrossPending)
       C->CrossPending--;
-    if (C->Closed) {
-      O.Ct.FramesDropped.fetch_add(1, std::memory_order_relaxed);
-      ServerMetrics::get().FramesDropped.inc();
-      if (!TagS.empty())
-        doomSessionByName(TagS, 0);
-      return;
-    }
-    size_t BytesBefore = C->Out.bytes();
-    C->Out.push(Status, NameS, std::move(BodyS), TagS);
-    O.Ct.Replies.fetch_add(1, std::memory_order_relaxed);
-    ServerMetrics::get().Replies.inc();
-    if (Status == 'e') {
-      O.Ct.Errors.fetch_add(1, std::memory_order_relaxed);
-      ServerMetrics::get().Errors.inc();
-    }
-    int64_t Delta = int64_t(C->Out.bytes()) - int64_t(BytesBefore);
-    O.Ct.BacklogBytes.fetch_add(Delta, std::memory_order_relaxed);
-    O.MBacklog->add(Delta);
-    ServerMetrics::get().QueueDepth.add(1);
-    O.MQueueDepth->add(1);
-    flushConn(O, C);
+    reply(*Shards[OwnerId], C, Status, NameS, std::move(BodyS), TagS);
   });
+}
+
+void Server::addBacklog(Shard &S, int64_t Frames, int64_t Bytes) {
+  QueueDepth.add(Frames);
+  S.BacklogBytes.add(Bytes);
 }
 
 void Server::flushConn(Shard &S, const ConnPtr &C) {
@@ -1069,12 +1010,8 @@ void Server::flushConn(Shard &S, const ConnPtr &C) {
   size_t FramesBefore = C->Out.frames();
   uint64_t Wrote = 0;
   OutQueue::FlushResult R = C->Out.flush(C->Fd, &Wrote);
-  int64_t ByteDelta = int64_t(C->Out.bytes()) - int64_t(BytesBefore);
-  int64_t FrameDelta = int64_t(C->Out.frames()) - int64_t(FramesBefore);
-  S.Ct.BacklogBytes.fetch_add(ByteDelta, std::memory_order_relaxed);
-  S.MBacklog->add(ByteDelta);
-  ServerMetrics::get().QueueDepth.add(FrameDelta);
-  S.MQueueDepth->add(FrameDelta);
+  addBacklog(S, int64_t(C->Out.frames()) - int64_t(FramesBefore),
+             int64_t(C->Out.bytes()) - int64_t(BytesBefore));
 
   switch (R) {
   case OutQueue::FlushResult::Drained:
@@ -1120,15 +1057,9 @@ void Server::closeConn(Shard &S, const ConnPtr &C, bool CountBacklogDropped) {
   size_t QueuedBytes = C->Out.bytes();
   size_t QueuedFrames = C->Out.frames();
   size_t Dropped = C->Out.dropAll(&Lost);
-  S.Ct.BacklogBytes.fetch_sub(int64_t(QueuedBytes),
-                              std::memory_order_relaxed);
-  S.MBacklog->sub(int64_t(QueuedBytes));
-  ServerMetrics::get().QueueDepth.sub(int64_t(QueuedFrames));
-  S.MQueueDepth->sub(int64_t(QueuedFrames));
-  if (CountBacklogDropped && Dropped) {
-    S.Ct.FramesDropped.fetch_add(Dropped, std::memory_order_relaxed);
-    ServerMetrics::get().FramesDropped.inc(Dropped);
-  }
+  addBacklog(S, -int64_t(QueuedFrames), -int64_t(QueuedBytes));
+  if (CountBacklogDropped && Dropped)
+    FramesDropped.inc(Dropped);
   // Undelivered replies: those sessions lost output the client can
   // never recover; discard them so they cannot serve a stream with a
   // silent hole in it.
@@ -1137,7 +1068,7 @@ void Server::closeConn(Shard &S, const ConnPtr &C, bool CountBacklogDropped) {
   ::close(C->Fd); // shard-owned: no other thread can race this close
   S.Conns.erase(C->Fd);
   C->Fd = -1;
-  S.Ct.ConnsLive.fetch_sub(1, std::memory_order_relaxed);
+  S.ConnsLive.sub(1);
   TotalConns.fetch_sub(1, std::memory_order_acq_rel);
 }
 
@@ -1146,46 +1077,51 @@ void Server::closeConn(Shard &S, const ConnPtr &C, bool CountBacklogDropped) {
 //===----------------------------------------------------------------------===//
 
 std::string Server::statsText() const {
-  PipelineCache::Stats CS = Cache.stats();
-  uint64_t Opened = 0, FramesIn = 0, Replies = 0, Errors = 0, Rejected = 0,
-           Dropped = 0, BytesIn = 0, BytesOut = 0, Evicted = 0, Cross = 0,
-           Accepts = 0, FastRuns = 0, FastRunElems = 0, FastWide = 0,
-           FastSpecRuns = 0, FastSpecElems = 0;
+  using ull = unsigned long long;
+  // Series this text shows that other layers count: the fast-path run
+  // fold (vm/FastPath.h) and the parallel executor.
+  auto &R = reg();
+  static const metrics::Counter *Fast[] = {
+      &R.counter("efc_fastpath_runs_total"),
+      &R.counter("efc_fastpath_run_elements_total"),
+      &R.counter("efc_fastpath_wide_elements_total"),
+      &R.counter("efc_fastpath_spec_runs_total"),
+      &R.counter("efc_fastpath_spec_elements_total")};
+  static const metrics::Counter *Par[] = {
+      &R.counter("efc_parallel_feeds_total"),
+      &R.counter("efc_parallel_chunks_planned_total"),
+      &R.counter("efc_parallel_chunks_speculated_total"),
+      &R.counter("efc_parallel_chunks_sequential_total"),
+      &R.counter("efc_parallel_lanes_started_total"),
+      &R.counter("efc_parallel_lanes_abandoned_total"),
+      &R.counter("efc_parallel_lanes_merged_total"),
+      &R.counter("efc_parallel_replay_elements_total")};
+  // Convergence distance distribution: the median here, the buckets in
+  // the Prometheus exposition.
+  static const metrics::Histogram &Converge = R.histogram(
+      "efc_parallel_convergence_bytes",
+      "elements consumed per chunk before lanes converged to one",
+      {16, 64, 256, 1024, 4096, 16384, 65536});
+
+  uint64_t FramesIn = 0, Cross = 0, Accepts = 0;
   int64_t Live = 0, Conns = 0;
   std::string PerShard;
   for (const auto &SP : Shards) {
-    const ShardCounters &Ct = SP->Ct;
-    Opened += Ct.SessionsOpened.load(std::memory_order_relaxed);
-    FramesIn += Ct.FramesIn.load(std::memory_order_relaxed);
-    Replies += Ct.Replies.load(std::memory_order_relaxed);
-    Errors += Ct.Errors.load(std::memory_order_relaxed);
-    Rejected += Ct.Rejected.load(std::memory_order_relaxed);
-    Dropped += Ct.FramesDropped.load(std::memory_order_relaxed);
-    BytesIn += Ct.BytesIn.load(std::memory_order_relaxed);
-    BytesOut += Ct.BytesOut.load(std::memory_order_relaxed);
-    Evicted += Ct.SessionsEvicted.load(std::memory_order_relaxed);
-    Cross += Ct.CrossForwards.load(std::memory_order_relaxed);
-    Accepts += Ct.Accepts.load(std::memory_order_relaxed);
-    FastRuns += Ct.FastRuns.load(std::memory_order_relaxed);
-    FastRunElems += Ct.FastRunElements.load(std::memory_order_relaxed);
-    FastWide += Ct.FastWideElements.load(std::memory_order_relaxed);
-    FastSpecRuns += Ct.FastSpecRuns.load(std::memory_order_relaxed);
-    FastSpecElems += Ct.FastSpecElements.load(std::memory_order_relaxed);
-    Live += Ct.SessionsLive.load(std::memory_order_relaxed);
-    Conns += Ct.ConnsLive.load(std::memory_order_relaxed);
+    const Shard &S = *SP;
+    uint64_t A = S.Accepts.value(), F = S.FramesIn.value(),
+             X = S.CrossForwards.value();
+    int64_t C = S.ConnsLive.value(), L = S.SessionsLive.value();
+    Accepts += A;
+    FramesIn += F;
+    Cross += X;
+    Conns += C;
+    Live += L;
     char SBuf[192];
     snprintf(SBuf, sizeof(SBuf),
              "\nshard%u: accepts=%llu wakeups=%llu frames=%llu conns=%lld "
              "sessions=%lld backlog_bytes=%lld forwards=%llu",
-             SP->Id,
-             (unsigned long long)Ct.Accepts.load(std::memory_order_relaxed),
-             (unsigned long long)Ct.Wakeups.load(std::memory_order_relaxed),
-             (unsigned long long)Ct.FramesIn.load(std::memory_order_relaxed),
-             (long long)Ct.ConnsLive.load(std::memory_order_relaxed),
-             (long long)Ct.SessionsLive.load(std::memory_order_relaxed),
-             (long long)Ct.BacklogBytes.load(std::memory_order_relaxed),
-             (unsigned long long)
-                 Ct.CrossForwards.load(std::memory_order_relaxed));
+             S.Id, ull(A), ull(S.Wakeups.value()), ull(F), (long long)C,
+             (long long)L, (long long)S.BacklogBytes.value(), ull(X));
     PerShard += SBuf;
   }
 
@@ -1199,58 +1135,36 @@ std::string Server::statsText() const {
            "fast_wide_elems=%llu fast_spec_runs=%llu "
            "fast_spec_elems=%llu "
            "shards=%u backlog_cap=%zu tcp=%s",
-           (unsigned long long)Opened, (long long)Live,
-           (unsigned long long)FramesIn, (unsigned long long)Replies,
-           (unsigned long long)Errors, (unsigned long long)Rejected,
-           (unsigned long long)Dropped, (unsigned long long)Evicted,
-           (unsigned long long)Cross, (unsigned long long)Accepts,
-           (long long)Conns, (unsigned long long)BytesIn,
-           (unsigned long long)BytesOut, (unsigned long long)FastRuns,
-           (unsigned long long)FastRunElems, (unsigned long long)FastWide,
-           (unsigned long long)FastSpecRuns,
-           (unsigned long long)FastSpecElems, Opts.Shards,
+           ull(SessionsOpened.value()), (long long)Live, ull(FramesIn),
+           ull(Replies.value()), ull(Errors.value()), ull(Rejected.value()),
+           ull(FramesDropped.value()), ull(SessionsEvicted.value()),
+           ull(Cross), ull(Accepts), (long long)Conns, ull(BytesIn.value()),
+           ull(BytesOut.value()), ull(Fast[0]->value()),
+           ull(Fast[1]->value()), ull(Fast[2]->value()),
+           ull(Fast[3]->value()), ull(Fast[4]->value()), Opts.Shards,
            Opts.MaxConnBacklog,
            !Opts.Tcp          ? "off"
            : TcpReusePort     ? "reuseport"
                               : "handoff");
-  // Speculation telemetry, read back from the global registry (the
-  // parallel executor folds its counters there; re-registration interns
-  // to the same objects).  Convergence distance distribution is in the
-  // Prometheus exposition (efc_parallel_convergence_bytes).
-  auto &R = metrics::Registry::instance();
-  metrics::Histogram &H =
-      R.histogram("efc_parallel_convergence_bytes",
-                  "elements consumed per chunk before lanes converged to one",
-                  {16, 64, 256, 1024, 4096, 16384, 65536});
   char PBuf[320];
   snprintf(PBuf, sizeof(PBuf),
            "\nparallel: feeds=%llu chunks_planned=%llu "
            "chunks_speculated=%llu chunks_sequential=%llu "
            "lanes_started=%llu lanes_abandoned=%llu lanes_merged=%llu "
            "replay_elems=%llu converge_p50_bytes<=%.0f",
-           (unsigned long long)R.counter("efc_parallel_feeds_total").value(),
-           (unsigned long long)
-               R.counter("efc_parallel_chunks_planned_total").value(),
-           (unsigned long long)
-               R.counter("efc_parallel_chunks_speculated_total").value(),
-           (unsigned long long)
-               R.counter("efc_parallel_chunks_sequential_total").value(),
-           (unsigned long long)
-               R.counter("efc_parallel_lanes_started_total").value(),
-           (unsigned long long)
-               R.counter("efc_parallel_lanes_abandoned_total").value(),
-           (unsigned long long)
-               R.counter("efc_parallel_lanes_merged_total").value(),
-           (unsigned long long)
-               R.counter("efc_parallel_replay_elements_total").value(),
-           [&H] {
-             uint64_t Total = H.count(), Acc = 0;
-             for (unsigned I = 0; I < H.numBounds(); ++I) {
-               Acc += H.bucketCount(I);
+           ull(Par[0]->value()), ull(Par[1]->value()), ull(Par[2]->value()),
+           ull(Par[3]->value()), ull(Par[4]->value()), ull(Par[5]->value()),
+           ull(Par[6]->value()), ull(Par[7]->value()), [] {
+             uint64_t Total = Converge.count(), Acc = 0;
+             for (unsigned I = 0; I < Converge.numBounds(); ++I) {
+               Acc += Converge.bucketCount(I);
                if (2 * Acc >= Total && Total)
-                 return H.bound(I);
+                 return Converge.bound(I);
              }
-             return H.numBounds() ? H.bound(H.numBounds() - 1) : 0.0;
+             return Converge.numBounds()
+                        ? Converge.bound(Converge.numBounds() - 1)
+                        : 0.0;
            }());
-  return std::string(Buf) + PerShard + PBuf + "\ncache: " + CS.str() + "\n";
+  return std::string(Buf) + PerShard + PBuf +
+         "\ncache: " + PipelineCache::statsText() + "\n";
 }

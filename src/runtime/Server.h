@@ -111,7 +111,8 @@ public:
   /// signalStop() + wait().
   void stop();
 
-  /// Counters dump served for 'S' frames (also usable in-process).
+  /// Counters dump served for 'S' frames (also usable in-process),
+  /// rendered from the metrics registry: the values are process totals.
   std::string statsText() const;
 
   /// Effective TCP port (resolves port 0 after start()).
@@ -153,33 +154,9 @@ private:
     uint64_t LastActiveMs = 0; ///< steady-clock ms of last frame
   };
 
-  /// Per-shard counters: plain atomics so statsText()/metrics can read
-  /// them from any thread while the owner increments lock-free.
-  struct ShardCounters {
-    std::atomic<uint64_t> Accepts{0};
-    std::atomic<uint64_t> Wakeups{0};
-    std::atomic<uint64_t> FramesIn{0};
-    std::atomic<uint64_t> Replies{0};
-    std::atomic<uint64_t> Errors{0};
-    std::atomic<uint64_t> Rejected{0};
-    std::atomic<uint64_t> FramesDropped{0};
-    std::atomic<uint64_t> BytesIn{0};
-    std::atomic<uint64_t> BytesOut{0};
-    std::atomic<uint64_t> SessionsOpened{0};
-    std::atomic<uint64_t> SessionsEvicted{0};
-    std::atomic<uint64_t> CrossForwards{0};
-    std::atomic<int64_t> ConnsLive{0};
-    std::atomic<int64_t> SessionsLive{0};
-    std::atomic<int64_t> BacklogBytes{0};
-    std::atomic<uint64_t> FastRuns{0};
-    std::atomic<uint64_t> FastRunElements{0};
-    std::atomic<uint64_t> FastWideElements{0};
-    std::atomic<uint64_t> FastSpecRuns{0};
-    std::atomic<uint64_t> FastSpecElements{0};
-  };
-
   struct Shard {
-    unsigned Id = 0;
+    explicit Shard(unsigned Id);
+    const unsigned Id;
     int Ep = -1;         ///< epoll instance
     int WakeFd = -1;     ///< eventfd: mailbox signal
     int TcpListen = -1;  ///< per-shard SO_REUSEPORT listener (-1: none)
@@ -192,15 +169,13 @@ private:
     /// backlog has since drained; resumed iteratively at the loop top
     /// (never recursively from inside a flush).
     std::vector<ConnPtr> Resume;
-    ShardCounters Ct;
     bool Draining = false;
     uint64_t DrainByMs = 0; ///< steady ms deadline once draining
     uint64_t LastReapMs = 0;
-    // Per-shard registry mirrors (label shard="N"), bound in start().
-    metrics::Counter *MAccepts = nullptr;
-    metrics::Counter *MWakeups = nullptr;
-    metrics::Gauge *MBacklog = nullptr;
-    metrics::Gauge *MQueueDepth = nullptr;
+    // This shard's registry series (label shard="Id"): the owner thread
+    // updates them, statsText() and the 'M' frame read them.
+    metrics::Counter &Accepts, &Wakeups, &FramesIn, &CrossForwards;
+    metrics::Gauge &ConnsLive, &SessionsLive, &BacklogBytes;
   };
 
   void shardLoop(Shard &S);
@@ -229,7 +204,7 @@ private:
   /// around the backlog watermarks, dooms on error or cap overflow.
   void flushConn(Shard &S, const ConnPtr &C);
   void closeConn(Shard &S, const ConnPtr &C, bool CountBacklogDropped);
-  /// Removes the session (home shard only), folding its telemetry.
+  /// Removes the session (home shard only).
   void eraseSession(Shard &S, const std::string &Name);
   /// Dooms a session wherever it lives; \p Gen guards against a stale
   /// doom erasing a newer same-named session.
@@ -238,10 +213,20 @@ private:
   void reapIdle(Shard &S, uint64_t NowMs);
   void updateEpoll(Shard &S, const ConnPtr &C);
   void post(unsigned ShardId, std::function<void()> Fn);
+  /// Books \p Frames queued reply frames of \p Bytes bytes on shard \p S
+  /// (negative when a flush or close removes them).
+  void addBacklog(Shard &S, int64_t Frames, int64_t Bytes);
 
   ServerOptions Opts;
   PipelineCache Cache;
   std::vector<std::unique_ptr<Shard>> Shards;
+
+  // Server-wide registry series (no labels), resolved at construction.
+  // Every value is a process total: one process runs one server.
+  metrics::Counter &SessionsOpened, &SessionsEvicted, &Replies, &Errors,
+      &Rejected, &FramesDropped, &BytesIn, &BytesOut;
+  metrics::Gauge &QueueDepth;
+  metrics::Histogram &FeedLatency, &FeedBytes;
 
   /// Global session index: name → (home shard, generation).  Touched on
   /// open/close/evict and on shard-local lookup misses — never on the

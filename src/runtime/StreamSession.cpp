@@ -5,6 +5,7 @@
 #include "parallel/Parallel.h"
 #include "support/EnvParse.h"
 
+#include <array>
 #include <cstdlib>
 #include <thread>
 
@@ -12,23 +13,30 @@ using namespace efc;
 using namespace efc::runtime;
 
 void StreamSession::bindMetrics() {
-  namespace mx = metrics;
-  auto &R = mx::Registry::instance();
-  const char *Label = Kind == Backend::Vm     ? "backend=\"vm\""
-                      : Kind == Backend::Fast ? "backend=\"fastpath\""
-                                              : "backend=\"native\"";
-  R.counter("efc_stream_sessions_total", "Stream sessions opened", Label)
-      .inc();
-  MBytesIn = &R.counter("efc_stream_bytes_in_total",
-                        "Input bytes fed into stream sessions", Label);
-  MBytesOut = &R.counter("efc_stream_bytes_out_total",
-                         "Output bytes drained from stream sessions", Label);
-  if (Kind == Backend::Fast) {
-    MRuns = &R.counter("efc_fastpath_runs_total",
-                       "Bulk spans driven through run kernels");
-    MRunElems = &R.counter("efc_fastpath_run_elements_total",
-                           "Elements consumed by run kernels");
-  }
+  // Per-backend series, resolved once per process (indexed by Backend),
+  // so opening a session looks nothing up by name.
+  struct Series {
+    metrics::Counter *Sessions, *BytesIn, *BytesOut;
+  };
+  static const std::array<Series, 3> ByBackend = [] {
+    auto &R = metrics::Registry::instance();
+    auto Make = [&R](const char *Label) {
+      return Series{
+          &R.counter("efc_stream_sessions_total", "Stream sessions opened",
+                     Label),
+          &R.counter("efc_stream_bytes_in_total",
+                     "Input bytes fed into stream sessions", Label),
+          &R.counter("efc_stream_bytes_out_total",
+                     "Output bytes drained from stream sessions", Label)};
+    };
+    return std::array<Series, 3>{Make("backend=\"vm\""),
+                                 Make("backend=\"fastpath\""),
+                                 Make("backend=\"native\"")};
+  }();
+  const Series &S = ByBackend[int(Kind)];
+  S.Sessions->inc();
+  MBytesIn = S.BytesIn;
+  MBytesOut = S.BytesOut;
 }
 
 StreamSession StreamSession::overVm(const CompiledTransducer &T) {
@@ -132,15 +140,10 @@ void StreamSession::drain() {
   if (MBytesOut && !Staged.empty())
     MBytesOut->inc(Staged.size());
   Staged.clear();
-  if (MRuns) {
-    // Fold the cursor's local run counters as a delta, so counts survive
-    // sessions that are dropped without finish().
-    const auto &RC = FCur->runCounters();
-    MRuns->inc(RC.Runs - FoldedRuns);
-    MRunElems->inc(RC.RunElements - FoldedRunElems);
-    FoldedRuns = RC.Runs;
-    FoldedRunElems = RC.RunElements;
-  }
+  // Fold the cursor's local run counters as a delta, so counts survive
+  // sessions that are dropped without finish().
+  if (FCur)
+    foldRunCounters(FCur->runCounters(), Folded);
 }
 
 bool StreamSession::feed(const void *Data, size_t N) {

@@ -73,26 +73,6 @@ public:
   uint64_t bytesIn() const { return BytesIn; }
   uint64_t bytesOut() const { return BytesOut; }
 
-  /// Run-acceleration telemetry (fast-path backend only; zero elsewhere):
-  /// bulk spans driven through run kernels and the elements they consumed.
-  uint64_t fastRuns() const {
-    return FCur ? FCur->runCounters().Runs : 0;
-  }
-  uint64_t fastRunElements() const {
-    return FCur ? FCur->runCounters().RunElements : 0;
-  }
-  /// Wide-domain table hits (elements >= 256 served from memo pools) and
-  /// two-state speculative alternating spans.
-  uint64_t fastWideElements() const {
-    return FCur ? FCur->runCounters().WideElements : 0;
-  }
-  uint64_t fastSpecRuns() const {
-    return FCur ? FCur->runCounters().SpecRuns : 0;
-  }
-  uint64_t fastSpecElements() const {
-    return FCur ? FCur->runCounters().SpecElements : 0;
-  }
-
   /// Arms data-parallel execution for large feeds (fast-path backend
   /// only; ignored elsewhere).  A single feed() of at least \p MinBytes
   /// runs through the parallel executor with \p Threads workers and
@@ -144,9 +124,8 @@ private:
   // append-only registry, so copies/moves of the session stay valid.
   metrics::Counter *MBytesIn = nullptr;
   metrics::Counter *MBytesOut = nullptr;
-  metrics::Counter *MRuns = nullptr;
-  metrics::Counter *MRunElems = nullptr;
-  uint64_t FoldedRuns = 0, FoldedRunElems = 0; ///< already in the registry
+  /// The part of FCur's run counters already folded into the registry.
+  FastPathCursor::RunCounters Folded;
 };
 
 } // namespace efc::runtime

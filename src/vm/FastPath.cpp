@@ -1228,6 +1228,35 @@ bool FastPathCursor::feed(std::span<const uint64_t> In,
   return true;
 }
 
+void efc::foldRunCounters(const FastPathCursor::RunCounters &Now,
+                          FastPathCursor::RunCounters &Folded) {
+  auto &R = metrics::Registry::instance();
+  static metrics::Counter &Runs =
+      R.counter("efc_fastpath_runs_total",
+                "Bulk spans driven through run kernels");
+  static metrics::Counter &RunElems = R.counter(
+      "efc_fastpath_run_elements_total", "Elements consumed by run kernels");
+  static metrics::Counter &Wide =
+      R.counter("efc_fastpath_wide_elements_total",
+                "Elements resolved through wide-domain memo tables");
+  static metrics::Counter &SpecRuns =
+      R.counter("efc_fastpath_spec_runs_total",
+                "Alternating spans taken by two-state speculation");
+  static metrics::Counter &SpecElems =
+      R.counter("efc_fastpath_spec_elements_total",
+                "Elements consumed by two-state speculation");
+  auto Fold = [](metrics::Counter &C, uint64_t N, uint64_t Done) {
+    if (N != Done)
+      C.inc(N - Done);
+  };
+  Fold(Runs, Now.Runs, Folded.Runs);
+  Fold(RunElems, Now.RunElements, Folded.RunElements);
+  Fold(Wide, Now.WideElements, Folded.WideElements);
+  Fold(SpecRuns, Now.SpecRuns, Folded.SpecRuns);
+  Fold(SpecElems, Now.SpecElements, Folded.SpecElements);
+  Folded = Now;
+}
+
 std::optional<std::vector<uint64_t>>
 efc::runFastPath(const FastPathPlan &P, const CompiledTransducer &T,
                  std::span<const uint64_t> In) {
@@ -1236,24 +1265,8 @@ efc::runFastPath(const FastPathPlan &P, const CompiledTransducer &T,
   bool Ok = C.feed(In, Out) && C.finish(Out);
   // One registry fold per run, not per span: the kernel loop stays free
   // of shared-state traffic.
-  static metrics::Counter &Runs = metrics::Registry::instance().counter(
-      "efc_fastpath_runs_total", "Bulk spans driven through run kernels");
-  static metrics::Counter &Elems = metrics::Registry::instance().counter(
-      "efc_fastpath_run_elements_total", "Elements consumed by run kernels");
-  static metrics::Counter &Wide = metrics::Registry::instance().counter(
-      "efc_fastpath_wide_elements_total",
-      "Elements resolved through wide-domain memo tables");
-  static metrics::Counter &SpecRuns = metrics::Registry::instance().counter(
-      "efc_fastpath_spec_runs_total",
-      "Alternating spans taken by two-state speculation");
-  static metrics::Counter &SpecElems = metrics::Registry::instance().counter(
-      "efc_fastpath_spec_elements_total",
-      "Elements consumed by two-state speculation");
-  Runs.inc(C.runCounters().Runs);
-  Elems.inc(C.runCounters().RunElements);
-  Wide.inc(C.runCounters().WideElements);
-  SpecRuns.inc(C.runCounters().SpecRuns);
-  SpecElems.inc(C.runCounters().SpecElements);
+  FastPathCursor::RunCounters None;
+  foldRunCounters(C.runCounters(), None);
   if (!Ok)
     return std::nullopt;
   return Out;

@@ -341,8 +341,8 @@ private:
 class FastPathCursor {
 public:
   /// Cumulative run-acceleration telemetry (spans driven through kernels
-  /// and the elements they consumed); surfaced by StreamSession /
-  /// efc-serve --stats.
+  /// and the elements they consumed).  Cursor-local so the kernel loop
+  /// does no registry traffic; foldRunCounters() publishes it.
   struct RunCounters {
     uint64_t Runs = 0;
     uint64_t RunElements = 0;
@@ -391,6 +391,14 @@ private:
   CompiledTransducer::Cursor Inner;
   RunCounters RC;
 };
+
+/// Adds the growth of \p Now since \p Folded to the process-wide
+/// efc_fastpath_{runs,run_elements,wide_elements,spec_runs,spec_elements}
+/// counters, then sets \p Folded to \p Now.  The one path from cursor
+/// telemetry to the registry: runFastPath folds once per run,
+/// StreamSession once per feed chunk.
+void foldRunCounters(const FastPathCursor::RunCounters &Now,
+                     FastPathCursor::RunCounters &Folded);
 
 /// Whole-input transduction through the fast path; std::nullopt on
 /// rejection.  Semantically identical to CompiledTransducer::run.

@@ -24,6 +24,11 @@ struct PipelineCase {
   std::vector<uint64_t> (*Input)();
 };
 
+// gtest names each case by printing its parameter; without a printer it
+// dumps the struct's raw bytes, i.e. ASLR-dependent pointers, and the
+// discovered ctest names change on every build.
+void PrintTo(const PipelineCase &C, std::ostream *OS) { *OS << C.Name; }
+
 std::vector<uint64_t> sboInput() {
   return rawOfBytes(data::makeSboCsv(61, 24 * 1024, 5));
 }

@@ -1,5 +1,7 @@
 //===- tests/integration/CliToolTest.cpp - efcc end-to-end ----------------===//
 
+#include "common/TempPath.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -24,7 +26,7 @@ bool efccAvailable() { return !efccPath().empty(); }
 
 /// Runs a shell command, captures stdout.
 int runCmd(const std::string &Cmd, std::string &Out) {
-  std::string File = ::testing::TempDir() + "/efcc_out.txt";
+  std::string File = efc::test::tempPath("out.txt");
   int Rc = std::system((Cmd + " > " + File + " 2>/dev/null").c_str());
   std::ifstream F(File);
   std::ostringstream Buf;
@@ -36,7 +38,7 @@ int runCmd(const std::string &Cmd, std::string &Out) {
 TEST(CliToolTest, CsvMaxEndToEnd) {
   if (!efccAvailable())
     GTEST_SKIP() << "efcc not built in expected location";
-  std::string Csv = ::testing::TempDir() + "/efcc_in.csv";
+  std::string Csv = efc::test::tempPath("in.csv");
   {
     std::ofstream F(Csv);
     F << "a,17,x\nb,99,y\nc,40,z\n";
@@ -53,7 +55,7 @@ TEST(CliToolTest, CsvMaxEndToEnd) {
 TEST(CliToolTest, XPathSqlEndToEnd) {
   if (!efccAvailable())
     GTEST_SKIP();
-  std::string Xml = ::testing::TempDir() + "/efcc_in.xml";
+  std::string Xml = efc::test::tempPath("in.xml");
   {
     std::ofstream F(Xml);
     F << "<r><v>5</v><pad/><v>6</v></r>";
@@ -68,14 +70,14 @@ TEST(CliToolTest, XPathSqlEndToEnd) {
 TEST(CliToolTest, EmitCppProducesCompilableSource) {
   if (!efccAvailable())
     GTEST_SKIP();
-  std::string Cpp = ::testing::TempDir() + "/efcc_gen.cpp";
+  std::string Cpp = efc::test::tempPath("gen.cpp");
   std::string Out;
   int Rc = runCmd(efccPath() +
                       " --regex '(?<v>\\d+)' --format decimal --emit-cpp " +
                   Cpp, Out);
   EXPECT_EQ(Rc, 0);
   // The unit must at least compile as an object file.
-  std::string Obj = ::testing::TempDir() + "/efcc_gen.o";
+  std::string Obj = efc::test::tempPath("gen.o");
   int CRc = std::system(
       ("c++ -std=c++17 -c -o " + Obj + " " + Cpp + " 2>/dev/null").c_str());
   EXPECT_EQ(CRc, 0);
@@ -84,7 +86,7 @@ TEST(CliToolTest, EmitCppProducesCompilableSource) {
 TEST(CliToolTest, RejectsInvalidInput) {
   if (!efccAvailable())
     GTEST_SKIP();
-  std::string Csv = ::testing::TempDir() + "/efcc_bad.csv";
+  std::string Csv = efc::test::tempPath("bad.csv");
   {
     std::ofstream F(Csv);
     F << "not matching the pattern at all";
@@ -97,7 +99,7 @@ TEST(CliToolTest, RejectsInvalidInput) {
 
 /// Runs a shell command, captures stderr (stdout discarded).
 int runCmdErr(const std::string &Cmd, std::string &Err) {
-  std::string File = ::testing::TempDir() + "/efcc_err.txt";
+  std::string File = efc::test::tempPath("err.txt");
   int Rc = std::system((Cmd + " > /dev/null 2>" + File).c_str());
   std::ifstream F(File);
   std::ostringstream Buf;
@@ -109,7 +111,7 @@ int runCmdErr(const std::string &Cmd, std::string &Err) {
 TEST(CliToolTest, MetricsDumpOnStderr) {
   if (!efccAvailable())
     GTEST_SKIP();
-  std::string Csv = ::testing::TempDir() + "/efcc_metrics_in.csv";
+  std::string Csv = efc::test::tempPath("metrics_in.csv");
   {
     std::ofstream F(Csv);
     F << "a,17,x\nb,99,y\n";
@@ -142,12 +144,12 @@ TEST(CliToolTest, MetricsDumpOnStderr) {
 TEST(CliToolTest, TraceEmitsCompileSpanTree) {
   if (!efccAvailable())
     GTEST_SKIP();
-  std::string Csv = ::testing::TempDir() + "/efcc_trace_in.csv";
+  std::string Csv = efc::test::tempPath("trace_in.csv");
   {
     std::ofstream F(Csv);
     F << "a,17,x\n";
   }
-  std::string Trace = ::testing::TempDir() + "/efcc_trace.jsonl";
+  std::string Trace = efc::test::tempPath("trace.jsonl");
   std::remove(Trace.c_str());
   std::string Out;
   int Rc = runCmd("EFC_TRACE=" + Trace + " " + efccPath() +
@@ -194,7 +196,7 @@ TEST(CliToolTest, UsageErrors) {
 TEST(CliToolTest, ParallelFlagErrors) {
   if (!efccAvailable())
     GTEST_SKIP();
-  std::string Csv = ::testing::TempDir() + "/efcc_par_in.csv";
+  std::string Csv = efc::test::tempPath("par_in.csv");
   {
     std::ofstream F(Csv);
     F << "a,17,x\nb,99,y\n";
@@ -232,7 +234,7 @@ TEST(CliToolTest, ParallelFlagErrors) {
 TEST(CliToolTest, ParallelRunMatchesSequential) {
   if (!efccAvailable())
     GTEST_SKIP();
-  std::string Csv = ::testing::TempDir() + "/efcc_par_big.csv";
+  std::string Csv = efc::test::tempPath("par_big.csv");
   {
     std::ofstream F(Csv);
     for (int I = 0; I < 2000; ++I)

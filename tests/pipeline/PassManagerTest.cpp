@@ -45,6 +45,11 @@ struct GoldenCase {
   bench::BuiltPipeline (*Make)();
 };
 
+// gtest names each case by printing its parameter; without a printer it
+// dumps the struct's raw bytes, i.e. ASLR-dependent pointers, and the
+// discovered ctest names change on every build.
+void PrintTo(const GoldenCase &C, std::ostream *OS) { *OS << C.Name; }
+
 // All 17 evaluation pipelines (the efc-verify certification set).
 const GoldenCase GoldenCases[] = {
     {"base64_avg", [] { return bench::makeBase64AvgPipeline(); }},
@@ -147,12 +152,27 @@ runtime::PipelineSpec maxSpec() {
   return Spec;
 }
 
+/// Per-pass cache lookups since a snapshot: the counts are process totals
+/// in the metrics registry, shared by every test in the binary.
+struct PassCacheDelta {
+  pipeline::PassCacheStats Before = pipeline::PassManager::cacheStats();
+  uint64_t hits(std::string_view Pass) const {
+    return pipeline::PassManager::cacheStats().hits(Pass) - Before.hits(Pass);
+  }
+  uint64_t misses(std::string_view Pass) const {
+    return pipeline::PassManager::cacheStats().misses(Pass) -
+           Before.misses(Pass);
+  }
+  std::string str() const { return pipeline::PassManager::cacheStats().str(); }
+};
+
 // The over-invalidation bugfix: before the pass manager, PipelineCache
 // keyed the *whole* build on the spec, so changing only the RBBE budget
 // re-ran fusion from scratch.  Per-pass keys are (name, IR-entering
 // hash, options-the-pass-reads hash): the budget re-keys `rbbe` alone.
 TEST(PassCache, RbbeBudgetOnlyChangeReusesFusedArtifact) {
   pipeline::PassManager::resetCacheForTests();
+  PassCacheDelta St;
 
   runtime::PipelineCache Cache(4);
   std::string Err;
@@ -164,7 +184,6 @@ TEST(PassCache, RbbeBudgetOnlyChangeReusesFusedArtifact) {
   auto P2 = Cache.get(Respec, false, &Err);
   ASSERT_TRUE(P2) << Err;
 
-  pipeline::PassCacheStats St = pipeline::PassManager::cacheStats();
   EXPECT_GE(St.hits("fuse"), 1u)
       << "an RBBE-budget-only respec must reuse the cached fusion result; "
       << St.str();
@@ -185,6 +204,7 @@ TEST(PassCache, RbbeBudgetOnlyChangeReusesFusedArtifact) {
 
 TEST(PassCache, HitPathYieldsIdenticalArtifacts) {
   pipeline::PassManager::resetCacheForTests();
+  PassCacheDelta St;
 
   // Two independent PipelineCaches: the second build misses the spec
   // cache but hits the process-wide pass cache on every pass.
@@ -195,7 +215,6 @@ TEST(PassCache, HitPathYieldsIdenticalArtifacts) {
   auto P2 = Warm.get(maxSpec(), false, &Err);
   ASSERT_TRUE(P2) << Err;
 
-  pipeline::PassCacheStats St = pipeline::PassManager::cacheStats();
   EXPECT_GE(St.hits("fuse"), 1u) << St.str();
   EXPECT_GE(St.hits("vm_compile"), 1u) << St.str();
 
@@ -209,6 +228,7 @@ TEST(PassCache, HitPathYieldsIdenticalArtifacts) {
 
 TEST(PassCache, LookupsAreAccountedPerPass) {
   pipeline::PassManager::resetCacheForTests();
+  PassCacheDelta St;
   runtime::PipelineCache Cold(4), Warm(4);
   std::string Err;
   runtime::PipelineSpec Spec = maxSpec();
@@ -216,9 +236,8 @@ TEST(PassCache, LookupsAreAccountedPerPass) {
   ASSERT_TRUE(Warm.get(Spec, false, &Err)) << Err;
   // Two builds, one fuse lookup each: the stats line CI prints must add
   // up (hits + misses == lookups), or the cache-rate telemetry is lying.
-  pipeline::PassCacheStats St = pipeline::PassManager::cacheStats();
   EXPECT_EQ(St.hits("fuse") + St.misses("fuse"), 2u) << St.str();
-  EXPECT_GT(St.Entries, 0u) << St.str();
+  EXPECT_GT(pipeline::PassManager::cacheStats().Entries, 0u) << St.str();
 }
 
 //===----------------------------------------------------------------------===//

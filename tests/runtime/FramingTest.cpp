@@ -13,6 +13,7 @@
 #include "support/Stopwatch.h"
 
 #include "common/FuzzSeed.h"
+#include "common/RegistryDelta.h"
 
 #include <gtest/gtest.h>
 
@@ -349,6 +350,7 @@ TEST(ServeTransport, OversizedFrameGetsErrorThenClose) {
 }
 
 TEST(ServeTransport, InterleavedFramesFromOverHundredConnsOneShard) {
+  test::RegistryDelta D;
   TestServer T(1);
   std::string Err;
   ASSERT_TRUE(T.start(&Err)) << Err;
@@ -387,11 +389,12 @@ TEST(ServeTransport, InterleavedFramesFromOverHundredConnsOneShard) {
     EXPECT_EQ(R.Body, std::to_string(2000 + K)) << "session w" << K;
     ::close(Fds[K]);
   }
-  EXPECT_NE(T.Srv->statsText().find("frames_dropped=0"), std::string::npos)
+  EXPECT_EQ(D("efc_server_frames_dropped_total"), 0)
       << "no frame may be lost: " << T.Srv->statsText();
 }
 
 TEST(ServeTransport, CrossShardSessionForwarding) {
+  test::RegistryDelta D;
   TestServer T(2);
   std::string Err;
   ASSERT_TRUE(T.start(&Err)) << Err;
@@ -412,9 +415,8 @@ TEST(ServeTransport, CrossShardSessionForwarding) {
   ASSERT_TRUE(roundTrip(B, "Exs", R));
   ASSERT_TRUE(R.Ok) << R.Body;
   EXPECT_EQ(R.Body, "41");
-  std::string Stats = T.Srv->statsText();
-  EXPECT_EQ(Stats.find("cross_forwards=0 "), std::string::npos)
-      << "expected forwarded frames in: " << Stats;
+  EXPECT_GT(D("efc_server_cross_shard_forwards_total"), 0)
+      << "expected forwarded frames in: " << T.Srv->statsText();
   ::close(A);
   ::close(B);
 }
@@ -455,6 +457,7 @@ TEST(ServeTransport, GracefulDrainDeliversBufferedReplies) {
 }
 
 TEST(ServeTransport, IdleSessionsAreReaped) {
+  test::RegistryDelta D;
   TestServer T(1, /*IdleMs=*/60);
   std::string Err;
   ASSERT_TRUE(T.start(&Err)) << Err;
@@ -466,8 +469,7 @@ TEST(ServeTransport, IdleSessionsAreReaped) {
   // Touch nothing and poll the public counter until the reaper fires.
   bool Evicted = false;
   for (int I = 0; I < 300 && !Evicted; ++I) {
-    Evicted =
-        T.Srv->statsText().find("evicted=0 ") == std::string::npos;
+    Evicted = D("efc_server_sessions_evicted_total") > 0;
     if (!Evicted)
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }

@@ -4,9 +4,10 @@
 // in the metrics registry regardless of backend: per-backend
 // efc_stream_bytes_{in,out}_total deltas equal the session's own
 // byte counters, which in turn agree across VM, byte-class fast path and
-// native.  The fast-path run-kernel counters folded into the registry
-// must match the cursor-local telemetry exactly (the delta fold in
-// StreamSession::drain must not double-count across chunks).
+// native.  The five fast-path run counters a session folds into the
+// registry must match those of a FastPathCursor fed the same chunks
+// exactly (the delta fold in StreamSession::drain must neither drop a
+// field nor double-count across chunks).
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +16,8 @@
 #include "runtime/StreamSession.h"
 #include "support/Metrics.h"
 #include "vm/FastPath.h"
+
+#include "common/AccelMachines.h"
 
 #include <gtest/gtest.h>
 
@@ -43,18 +46,65 @@ struct StreamDeltas {
   uint64_t out() const { return Out.value() - Out0; }
 };
 
-/// Streams \p In through \p S in 97-byte chunks (coprime with the run
-/// kernels' span lengths, so runs get cut mid-chunk) and returns the
-/// output.
-std::string pump(StreamSession &S, const std::string &In) {
+/// Registry deltas of the five efc_fastpath_* run series, one per
+/// FastPathCursor::RunCounters field, snapshotted at construction.
+struct RunDeltas {
+  metrics::Counter *C[5];
+  uint64_t V0[5];
+
+  RunDeltas() {
+    const char *Names[5] = {
+        "efc_fastpath_runs_total", "efc_fastpath_run_elements_total",
+        "efc_fastpath_wide_elements_total", "efc_fastpath_spec_runs_total",
+        "efc_fastpath_spec_elements_total"};
+    for (int I = 0; I < 5; ++I) {
+      C[I] = &metrics::Registry::instance().counter(Names[I]);
+      V0[I] = C[I]->value();
+    }
+  }
+  uint64_t at(int I) const { return C[I]->value() - V0[I]; }
+};
+
+/// Each registry delta must equal the matching cursor counter.
+void expectFolded(const RunDeltas &D, const FastPathCursor::RunCounters &W,
+                  const std::string &What) {
+  EXPECT_EQ(D.at(0), W.Runs) << What;
+  EXPECT_EQ(D.at(1), W.RunElements) << What;
+  EXPECT_EQ(D.at(2), W.WideElements) << What;
+  EXPECT_EQ(D.at(3), W.SpecRuns) << What;
+  EXPECT_EQ(D.at(4), W.SpecElements) << What;
+}
+
+/// Streams \p In through \p S in \p Chunk-byte pieces and returns the
+/// output.  The default 97 is coprime with the run kernels' span
+/// lengths, so runs get cut mid-chunk.
+std::string pump(StreamSession &S, const std::string &In,
+                 size_t Chunk = 97) {
   std::string Got;
-  for (size_t I = 0; I < In.size(); I += 97) {
-    EXPECT_TRUE(S.feed(std::string_view(In).substr(I, 97)));
+  for (size_t I = 0; I < In.size(); I += Chunk) {
+    EXPECT_TRUE(S.feed(std::string_view(In).substr(I, Chunk)));
     Got += S.takeOutput();
   }
   EXPECT_TRUE(S.finish());
   Got += S.takeOutput();
   return Got;
+}
+
+/// The run counters of a FastPathCursor fed \p In in the same pieces
+/// pump() feeds a session.
+FastPathCursor::RunCounters cursorCounters(const FastPathPlan &P,
+                                           const CompiledTransducer &T,
+                                           const std::string &In,
+                                           size_t Chunk = 97) {
+  FastPathCursor C(P, T);
+  std::vector<uint64_t> Out;
+  for (size_t I = 0; I < In.size(); I += Chunk) {
+    std::vector<uint64_t> Piece(In.begin() + I,
+                                In.begin() + std::min(In.size(), I + Chunk));
+    EXPECT_TRUE(C.feed(Piece, Out));
+  }
+  EXPECT_TRUE(C.finish(Out));
+  return C.runCounters();
 }
 
 TEST(MetricsConsistency, Fig9CsvAgreesAcrossBackends) {
@@ -72,11 +122,7 @@ TEST(MetricsConsistency, Fig9CsvAgreesAcrossBackends) {
   EXPECT_EQ(VmD.out(), VmOut.size());
 
   StreamDeltas FastD("backend=\"fastpath\"");
-  metrics::Counter &Runs = metrics::Registry::instance().counter(
-      "efc_fastpath_runs_total");
-  metrics::Counter &RunElems = metrics::Registry::instance().counter(
-      "efc_fastpath_run_elements_total");
-  uint64_t Runs0 = Runs.value(), RunElems0 = RunElems.value();
+  RunDeltas Runs;
   StreamSession Fast = StreamSession::overFast(*P.FastPlan,
                                                *P.CompiledFused);
   std::string FastOut = pump(Fast, In);
@@ -85,9 +131,10 @@ TEST(MetricsConsistency, Fig9CsvAgreesAcrossBackends) {
   EXPECT_EQ(FastD.out(), Fast.bytesOut());
   // The registry fold must equal the cursor-local telemetry exactly:
   // drain() folds per chunk, and double-counting would show here.
-  EXPECT_EQ(Runs.value() - Runs0, Fast.fastRuns());
-  EXPECT_EQ(RunElems.value() - RunElems0, Fast.fastRunElements());
-  EXPECT_GT(Fast.fastRuns(), 0u) << "CSV max should drive run kernels";
+  FastPathCursor::RunCounters Want =
+      cursorCounters(*P.FastPlan, *P.CompiledFused, In);
+  expectFolded(Runs, Want, "fig9 csv max");
+  EXPECT_GT(Want.Runs, 0u) << "CSV max should drive run kernels";
 
   // The backends must agree with each other, not just with themselves.
   EXPECT_EQ(FastOut, VmOut);
@@ -106,6 +153,37 @@ TEST(MetricsConsistency, Fig9CsvAgreesAcrossBackends) {
   EXPECT_EQ(NatD.in(), In.size());
   EXPECT_EQ(NatD.out(), Nat->bytesOut());
   EXPECT_EQ(NatOut, VmOut);
+}
+
+// Sessions fold every run counter, not just runs and run elements: the
+// spec-pair spans of a stream fed through a session (as every served
+// stream is) must reach the registry exactly as a cursor fed the same
+// odd-sized chunks counts them.  Byte feeds cannot carry elements >= 256,
+// so the wide-domain machine's wide counts are zero on both sides; it
+// still checks the fold adds nothing twice.
+TEST(MetricsConsistency, SessionFoldsEveryRunCounter) {
+  TermContext Ctx;
+  std::string In;
+  for (int I = 0; I < 1500; ++I)
+    In += I % 301 == 300 ? '\n' : 'q';
+  for (bool Spec : {true, false}) {
+    Bst A = Spec ? test::makePingPong(Ctx) : test::makeWidePlusOne(Ctx);
+    auto T = CompiledTransducer::compile(A);
+    ASSERT_TRUE(T.has_value());
+    FastPathPlan P = FastPathPlan::build(A, *T);
+    for (size_t Chunk : {size_t(7), size_t(97)}) {
+      std::string What = std::string(Spec ? "spec pair" : "wide") +
+                         " chunk=" + std::to_string(Chunk);
+      RunDeltas D;
+      StreamSession S = StreamSession::overFast(P, *T);
+      pump(S, In, Chunk);
+      FastPathCursor::RunCounters Want = cursorCounters(P, *T, In, Chunk);
+      expectFolded(D, Want, What);
+      if (Spec) {
+        EXPECT_GT(Want.SpecElements, 0u) << What << ": spec pair unused";
+      }
+    }
+  }
 }
 
 // A rejecting stream must still account its bytes: everything fed before

@@ -3,23 +3,61 @@
 // Spec canonicalization round-trips, hit/miss/coalesce counters,
 // single-flight builds under contention, LRU eviction, and the on-disk
 // native artifact cache (warm restart never invokes the host compiler).
+// Counters are process-wide registry series, so every count below is a
+// delta around the test's own lookups.
 //
 //===----------------------------------------------------------------------===//
 
 #include "runtime/PipelineCache.h"
 #include "support/Metrics.h"
 
+#include "common/RegistryDelta.h"
+#include "common/TempPath.h"
+
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
+#include <optional>
 #include <thread>
 
 using namespace efc;
 using namespace efc::runtime;
+using efc::test::RegistryDelta;
 
 namespace {
+
+/// Points the native artifact cache at a directory private to the
+/// running test; restores the previous EFC_CACHE_DIR on scope exit.
+class ScopedCacheDir {
+public:
+  ScopedCacheDir() : Dir(efc::test::tempPath("cache")) {
+    if (const char *Old = ::getenv("EFC_CACHE_DIR"))
+      Prev = Old;
+    ::setenv("EFC_CACHE_DIR", Dir.c_str(), 1);
+  }
+  ~ScopedCacheDir() {
+    if (Prev)
+      ::setenv("EFC_CACHE_DIR", Prev->c_str(), 1);
+    else
+      ::unsetenv("EFC_CACHE_DIR");
+  }
+  std::string Dir;
+
+private:
+  std::optional<std::string> Prev;
+};
+
+/// The statsText() field \p Key must show the registry's current total
+/// of series \p Series.
+void expectStatsShows(const char *Key, const char *Series) {
+  uint64_t V = metrics::Registry::instance().counter(Series).value();
+  std::string Text = PipelineCache::statsText();
+  EXPECT_NE(Text.find(std::string(" ") + Key + "=" + std::to_string(V) + " "),
+            std::string::npos)
+      << Text;
+}
 
 PipelineSpec csvMaxSpec() {
   PipelineSpec S;
@@ -77,6 +115,7 @@ TEST(PipelineSpec, ParseRejectsMalformedInput) {
 }
 
 TEST(PipelineCache, HitMissCounters) {
+  RegistryDelta D;
   PipelineCache Cache(4);
   std::string Err;
   auto A = Cache.get(csvMaxSpec(), false, &Err);
@@ -85,16 +124,19 @@ TEST(PipelineCache, HitMissCounters) {
   ASSERT_TRUE(B);
   EXPECT_EQ(A.get(), B.get()) << "repeat lookups share one entry";
 
-  auto St = Cache.stats();
-  EXPECT_EQ(St.Misses, 1u);
-  EXPECT_EQ(St.Hits, 1u);
-  EXPECT_EQ(St.Builds, 1u) << "second lookup must not re-fuse";
-  EXPECT_GT(St.BuildSeconds, 0.0);
+  EXPECT_EQ(D("efc_cache_misses_total"), 1);
+  EXPECT_EQ(D("efc_cache_hits_total"), 1);
+  EXPECT_EQ(D("efc_cache_builds_total"), 1)
+      << "second lookup must not re-fuse";
+  EXPECT_GT(D("efc_cache_build_seconds_total"), 0.0);
   EXPECT_EQ(Cache.size(), 1u);
-  EXPECT_NE(St.str().find("hits=1"), std::string::npos);
+  EXPECT_EQ(PipelineCache::statsText().rfind("hits=", 0), 0u);
+  expectStatsShows("misses", "efc_cache_misses_total");
+  expectStatsShows("builds", "efc_cache_builds_total");
 }
 
 TEST(PipelineCache, InvalidSpecIsNegativeCached) {
+  RegistryDelta D;
   PipelineCache Cache(4);
   PipelineSpec Bad = csvMaxSpec();
   Bad.Pattern = "(?<v>[unterminated";
@@ -105,14 +147,15 @@ TEST(PipelineCache, InvalidSpecIsNegativeCached) {
   // Spec errors are deterministic, so they stay sticky forever and are
   // accounted separately from positive hits.
   EXPECT_FALSE(Cache.get(Bad, false, &Err));
-  EXPECT_EQ(Cache.stats().Builds, 0u);
-  EXPECT_EQ(Cache.stats().Misses, 1u);
-  EXPECT_EQ(Cache.stats().NegativeHits, 1u);
-  EXPECT_EQ(Cache.stats().Hits, 0u);
-  EXPECT_NE(Cache.stats().str().find("negative_hits=1"), std::string::npos);
+  EXPECT_EQ(D("efc_cache_builds_total"), 0);
+  EXPECT_EQ(D("efc_cache_misses_total"), 1);
+  EXPECT_EQ(D("efc_cache_negative_hits_total"), 1);
+  EXPECT_EQ(D("efc_cache_hits_total"), 0);
+  expectStatsShows("negative_hits", "efc_cache_negative_hits_total");
 }
 
 TEST(PipelineCache, SingleFlightUnderContention) {
+  RegistryDelta D;
   PipelineCache Cache(4);
   constexpr int N = 8;
   std::atomic<int> Ok{0};
@@ -125,13 +168,15 @@ TEST(PipelineCache, SingleFlightUnderContention) {
   for (auto &T : Ts)
     T.join();
   EXPECT_EQ(Ok.load(), N);
-  auto St = Cache.stats();
-  EXPECT_EQ(St.Builds, 1u) << "N concurrent gets must fuse exactly once";
-  EXPECT_EQ(St.Misses, 1u);
-  EXPECT_EQ(St.Hits + St.Coalesced, uint64_t(N - 1));
+  EXPECT_EQ(D("efc_cache_builds_total"), 1)
+      << "N concurrent gets must fuse exactly once";
+  EXPECT_EQ(D("efc_cache_misses_total"), 1);
+  EXPECT_EQ(D("efc_cache_hits_total") + D("efc_cache_coalesced_total"),
+            N - 1);
 }
 
 TEST(PipelineCache, LruEviction) {
+  RegistryDelta D;
   PipelineCache Cache(2);
   PipelineSpec A = csvMaxSpec();
   PipelineSpec B = A, C = A;
@@ -142,61 +187,64 @@ TEST(PipelineCache, LruEviction) {
   ASSERT_TRUE(Cache.get(A)); // A is now most recent; B is the LRU victim
   ASSERT_TRUE(Cache.get(C));
   EXPECT_EQ(Cache.size(), 2u);
-  EXPECT_EQ(Cache.stats().Evictions, 1u);
+  EXPECT_EQ(D("efc_cache_evictions_total"), 1);
   // A survived the eviction; B was dropped and rebuilds.
   ASSERT_TRUE(Cache.get(A));
-  EXPECT_EQ(Cache.stats().Builds, 3u);
+  EXPECT_EQ(D("efc_cache_builds_total"), 3);
   ASSERT_TRUE(Cache.get(B));
-  EXPECT_EQ(Cache.stats().Builds, 4u);
+  EXPECT_EQ(D("efc_cache_builds_total"), 4);
 }
 
 TEST(PipelineCache, NativeDiskArtifactCache) {
-  std::string Dir = ::testing::TempDir() + "/efc_cache_test";
-  ::setenv("EFC_CACHE_DIR", Dir.c_str(), 1);
-  EXPECT_EQ(NativeTransducer::cacheDir(), Dir);
+  ScopedCacheDir Dir;
+  EXPECT_EQ(NativeTransducer::cacheDir(), Dir.Dir);
 
   std::string Err;
   PipelineSpec S = csvMaxSpec();
   S.Agg = "avg"; // avoid colliding with other suites' warm artifacts
 
+  RegistryDelta DCold;
   PipelineCache Cold(4);
   auto P1 = Cold.get(S, /*WantNative=*/true, &Err);
   if (!P1 && Err.find("native backend unavailable") != std::string::npos)
     GTEST_SKIP() << Err;
   ASSERT_TRUE(P1) << Err;
-  auto StCold = Cold.stats();
-  // First process-wide build either compiles or reuses an artifact left
-  // by an earlier run of this very test binary.
-  EXPECT_EQ(StCold.NativeCompiles + StCold.NativeDiskHits, 1u);
+  // The first build either compiles or reuses an artifact left by an
+  // earlier run of this very test.
+  EXPECT_EQ(DCold("efc_native_compiles_total") +
+                DCold("efc_native_disk_hits_total"),
+            1);
 
   // A fresh cache (fresh process, conceptually) must find the artifact
   // on disk and never invoke the host compiler.
+  RegistryDelta DWarm;
   PipelineCache Warm(4);
   auto P2 = Warm.get(S, true, &Err);
   ASSERT_TRUE(P2) << Err;
-  auto StWarm = Warm.stats();
-  EXPECT_EQ(StWarm.NativeCompiles, 0u)
+  EXPECT_EQ(DWarm("efc_native_compiles_total"), 0)
       << "warm artifact cache must not invoke the compiler";
-  EXPECT_EQ(StWarm.NativeDiskHits, 1u);
-  EXPECT_EQ(StWarm.Builds, 1u) << "fusion is in-memory only, so it reruns";
+  EXPECT_EQ(DWarm("efc_native_disk_hits_total"), 1);
+  EXPECT_EQ(DWarm("efc_cache_builds_total"), 1)
+      << "fusion is in-memory only, so it reruns";
 
   // In-memory warm path: the same cache serves native repeats without
   // touching the disk again.
   auto P3 = Warm.get(S, true, &Err);
   ASSERT_TRUE(P3);
   EXPECT_EQ(P2.get(), P3.get());
-  EXPECT_EQ(Warm.stats().NativeDiskHits, 1u);
-  EXPECT_EQ(Warm.stats().Hits, 1u);
+  EXPECT_EQ(DWarm("efc_native_disk_hits_total"), 1);
+  EXPECT_EQ(DWarm("efc_cache_hits_total"), 1);
 }
 
 TEST(PipelineCache, VmEntryUpgradesToNative) {
-  std::string Dir = ::testing::TempDir() + "/efc_cache_test";
-  ::setenv("EFC_CACHE_DIR", Dir.c_str(), 1);
+  ScopedCacheDir Dir;
+  RegistryDelta D;
   PipelineCache Cache(4);
   std::string Err;
   auto P = Cache.get(csvMaxSpec(), false, &Err);
   ASSERT_TRUE(P) << Err;
-  EXPECT_EQ(Cache.stats().NativeCompiles + Cache.stats().NativeDiskHits, 0u)
+  EXPECT_EQ(D("efc_native_compiles_total") + D("efc_native_disk_hits_total"),
+            0)
       << "VM-only lookups must not touch the native toolchain";
   auto P2 = Cache.get(csvMaxSpec(), true, &Err);
   if (!P2 && Err.find("native backend unavailable") != std::string::npos)
@@ -213,28 +261,25 @@ TEST(PipelineCache, VmEntryUpgradesToNative) {
 /// compiler) and restores every variable on scope exit.
 class NativeRetryEnv {
 public:
-  NativeRetryEnv(const char *Sub, const char *RetryMs) {
-    Dir = ::testing::TempDir() + Sub;
+  explicit NativeRetryEnv(const char *RetryMs) {
     // A warm artifact from a previous run would disk-hit before the
     // (broken) compiler is ever invoked — start cold every time.
-    std::filesystem::remove_all(Dir);
-    ::setenv("EFC_CACHE_DIR", Dir.c_str(), 1);
+    std::filesystem::remove_all(Dir.Dir);
     ::setenv("EFC_NATIVE_RETRY_MS", RetryMs, 1);
   }
   ~NativeRetryEnv() {
     ::unsetenv("EFC_CXX");
     ::unsetenv("EFC_NATIVE_RETRY_MS");
-    ::setenv("EFC_CACHE_DIR",
-             (::testing::TempDir() + "/efc_cache_test").c_str(), 1);
   }
-  std::string Dir;
+  ScopedCacheDir Dir;
 };
 
 // The failed-then-fixed scenario: a toolchain outage (every cc invocation
 // fails) must not poison the entry forever — once the compiler works
 // again, the same entry recovers without a rebuild of the pipeline.
 TEST(PipelineCache, TransientNativeFailureRecovers) {
-  NativeRetryEnv Env("/efc_retry_recover", /*RetryMs=*/"0");
+  NativeRetryEnv Env(/*RetryMs=*/"0");
+  RegistryDelta D;
   ::setenv("EFC_CXX", "false", 1); // "compiler" that always fails
 
   PipelineCache Cache(4);
@@ -266,13 +311,13 @@ TEST(PipelineCache, TransientNativeFailureRecovers) {
   // And the recovery is cached like any success.
   EXPECT_EQ(P->native(&Err, &Outcome), N);
   EXPECT_EQ(Outcome, CompiledPipeline::NativeOutcome::Ready);
-  EXPECT_EQ(Cache.stats().Builds, 1u) << "recovery must not re-fuse";
+  EXPECT_EQ(D("efc_cache_builds_total"), 1) << "recovery must not re-fuse";
 }
 
 // While the backoff deadline is pending, repeated native() calls answer
 // from the cached error without invoking the compiler again.
 TEST(PipelineCache, TransientNativeFailureBacksOff) {
-  NativeRetryEnv Env("/efc_retry_backoff", /*RetryMs=*/"3600000");
+  NativeRetryEnv Env(/*RetryMs=*/"3600000");
   ::setenv("EFC_CXX", "false", 1);
 
   PipelineCache Cache(4);

@@ -2,16 +2,21 @@
 //
 // In-process Server over a temp Unix socket: frame protocol round-trips,
 // chunked feeding (the CI smoke scenario), error paths, cache sharing
-// across sessions, concurrent clients, and clean shutdown.
+// across sessions, concurrent clients, and clean shutdown.  Server
+// counters are process-wide registry series, so counts are asserted as
+// deltas around each test's own traffic.
 //
 //===----------------------------------------------------------------------===//
 
 #include "runtime/Server.h"
 
+#include "common/RegistryDelta.h"
+
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstring>
+#include <map>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <thread>
@@ -163,6 +168,7 @@ TEST_F(ServerTest, CloseDiscardsSession) {
 }
 
 TEST_F(ServerTest, SessionsShareThePipelineCache) {
+  test::RegistryDelta D;
   int Fd = connectTo(Sock);
   ASSERT_GE(Fd, 0);
   Reply R;
@@ -170,12 +176,25 @@ TEST_F(ServerTest, SessionsShareThePipelineCache) {
   ASSERT_TRUE(R.Ok) << R.Body;
   ASSERT_TRUE(roundTrip(Fd, std::string("Ob\nvm\n") + CsvMaxSpec, R));
   ASSERT_TRUE(R.Ok) << R.Body;
+  EXPECT_EQ(D("efc_server_sessions_opened_total"), 2);
+  EXPECT_EQ(D("efc_cache_builds_total"), 1) << "same spec must fuse once";
   ASSERT_TRUE(roundTrip(Fd, "S", R));
   ASSERT_TRUE(R.Ok);
-  EXPECT_NE(R.Body.find("sessions_opened=2"), std::string::npos) << R.Body;
-  EXPECT_NE(R.Body.find("builds=1"), std::string::npos)
-      << "same spec must fuse once: " << R.Body;
-  EXPECT_NE(R.Body.find("cache: "), std::string::npos);
+  // Every key of the stats text, rendered from the registry.
+  for (const char *Key :
+       {"sessions_opened=", "sessions_active=", "frames_in=", "replies=",
+        "errors=", "rejected=", "frames_dropped=", "evicted=",
+        "cross_forwards=", "accepts=", "conns=", "bytes_in=", "bytes_out=",
+        "fast_runs=", "fast_run_elems=", "fast_wide_elems=",
+        "fast_spec_runs=", "fast_spec_elems=", "shards=2 ", "backlog_cap=",
+        "tcp=off", "\nshard0: accepts=", "\nshard1: accepts=", "wakeups=",
+        "backlog_bytes=", "forwards=", "\nparallel: feeds=",
+        "chunks_planned=", "lanes_abandoned=", "converge_p50_bytes<=",
+        "\ncache: hits=", "negative_hits=", "evictions=", "builds=",
+        "build_s=", "native_compiles=", "native_disk_hits=",
+        "native_compile_ms=", "fast_table_states=", "fast_spec_pairs=",
+        "par_eligible=", "cert_certified=", "certify_timeouts="})
+    EXPECT_NE(R.Body.find(Key), std::string::npos) << Key << "\n" << R.Body;
   ::close(Fd);
 }
 
@@ -241,6 +260,48 @@ TEST_F(ServerTest, MetricsFrameCoversEveryFamily) {
             std::string::npos);
   EXPECT_NE(R.Body.find("efc_stream_bytes_in_total{backend=\"vm\"}"),
             std::string::npos);
+
+  // Exposition shape.  A series name is either unlabeled or labelled,
+  // never both: summing a mixed family counts every event twice.  Each
+  // family has one HELP and one TYPE header.
+  std::map<std::string, int> Help, Type;
+  std::map<std::string, unsigned> Shape; // bit 0 unlabeled, bit 1 labelled
+  size_t Pos = 0;
+  while (Pos < R.Body.size()) {
+    size_t Eol = R.Body.find('\n', Pos);
+    std::string Line = R.Body.substr(Pos, Eol - Pos);
+    Pos = Eol == std::string::npos ? R.Body.size() : Eol + 1;
+    if (Line.rfind("# HELP ", 0) == 0)
+      ++Help[Line.substr(7, Line.find(' ', 7) - 7)];
+    else if (Line.rfind("# TYPE ", 0) == 0)
+      ++Type[Line.substr(7, Line.find(' ', 7) - 7)];
+    else if (!Line.empty()) {
+      size_t End = Line.find_first_of("{ ");
+      Shape[Line.substr(0, End)] |= Line[End] == '{' ? 2u : 1u;
+    }
+  }
+  for (const auto &[Name, Bits] : Shape) {
+    EXPECT_NE(Bits, 3u) << Name << " has unlabeled and labelled series";
+    std::string Family = Name;
+    for (const char *Suffix : {"_bucket", "_sum", "_count"})
+      if (!Type.count(Family) && Family.size() > strlen(Suffix) &&
+          Family.ends_with(Suffix))
+        Family.resize(Family.size() - strlen(Suffix));
+    EXPECT_EQ(Type[Family], 1) << Family;
+  }
+  for (const auto &[Family, N] : Help)
+    EXPECT_EQ(N, 1) << Family;
+  EXPECT_NE(R.Body.find("\nefc_server_queue_depth "), std::string::npos)
+      << "queue depth must stay readable with no labels";
+  // The per-shard series --stats shows, labelled by shard.
+  for (const char *Family :
+       {"efc_server_accepts_total", "efc_server_epoll_wakeups_total",
+        "efc_server_frames_in_total", "efc_server_conns_live",
+        "efc_server_sessions_live", "efc_server_out_backlog_bytes",
+        "efc_server_cross_shard_forwards_total"})
+    EXPECT_NE(R.Body.find(std::string(Family) + "{shard=\"0\"} "),
+              std::string::npos)
+        << Family;
   ::close(Fd);
 }
 
@@ -248,6 +309,7 @@ TEST_F(ServerTest, MetricsFrameCoversEveryFamily) {
 // could not deliver and doom the session instead of silently dropping
 // output on the floor.
 TEST_F(ServerTest, DeadClientCountsDroppedFrames) {
+  test::RegistryDelta D;
   int Fd = connectTo(Sock);
   ASSERT_GE(Fd, 0);
   Reply R;
@@ -275,7 +337,7 @@ TEST_F(ServerTest, DeadClientCountsDroppedFrames) {
   // counter rather than sleeping blind.
   bool Dropped = false;
   for (int I = 0; I < 500 && !Dropped; ++I) {
-    Dropped = Srv->statsText().find("frames_dropped=0") == std::string::npos;
+    Dropped = D("efc_server_frames_dropped_total") > 0;
     if (!Dropped)
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }

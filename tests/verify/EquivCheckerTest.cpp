@@ -26,6 +26,8 @@
 #include "vm/FastPath.h"
 #include "vm/Vm.h"
 
+#include "common/RegistryDelta.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -427,15 +429,16 @@ protected:
 
 TEST_F(CertifyGateTest, CertifiedBuildServesAndCounts) {
   setenv("EFC_CERTIFY", "1", 1);
+  test::RegistryDelta D;
   runtime::PipelineCache Cache(4);
   std::string Err;
   auto P = Cache.get(simpleSpec(), false, &Err);
   ASSERT_NE(P, nullptr) << Err;
   EXPECT_EQ(P->Cert, CertStatus::Certified) << P->CertSummary;
-  runtime::PipelineCache::Stats St = Cache.stats();
-  EXPECT_EQ(St.CertCertified, 1u);
-  EXPECT_EQ(St.CertRefuted, 0u);
-  EXPECT_NE(St.str().find("cert_certified=1"), std::string::npos);
+  EXPECT_EQ(D("efc_certify_certified_total"), 1);
+  EXPECT_EQ(D("efc_certify_refuted_total"), 0);
+  EXPECT_NE(runtime::PipelineCache::statsText().find("cert_certified="),
+            std::string::npos);
 }
 
 // Satellite 3, runtime half: a zero certification budget produces an
@@ -444,6 +447,7 @@ TEST_F(CertifyGateTest, CertifiedBuildServesAndCounts) {
 TEST_F(CertifyGateTest, ZeroBudgetStillServesAndBumpsTimeouts) {
   setenv("EFC_CERTIFY", "1", 1);
   setenv("EFC_CERTIFY_BUDGET_MS", "0", 1);
+  test::RegistryDelta D;
   runtime::PipelineCache Cache(4);
   std::string Err;
   auto P = Cache.get(simpleSpec(), false, &Err);
@@ -451,10 +455,10 @@ TEST_F(CertifyGateTest, ZeroBudgetStillServesAndBumpsTimeouts) {
                         << Err;
   EXPECT_EQ(P->Cert, CertStatus::Unverified) << P->CertSummary;
   EXPECT_GT(P->CertTimeouts, 0u);
-  runtime::PipelineCache::Stats St = Cache.stats();
-  EXPECT_EQ(St.CertUnverified, 1u);
-  EXPECT_GT(St.CertTimeouts, 0u);
-  EXPECT_NE(St.str().find("certify_timeouts="), std::string::npos);
+  EXPECT_EQ(D("efc_certify_unverified_total"), 1);
+  EXPECT_GT(D("efc_certify_timeouts_total"), 0);
+  EXPECT_NE(runtime::PipelineCache::statsText().find("certify_timeouts="),
+            std::string::npos);
 }
 
 TEST_F(CertifyGateTest, OffByDefault) {

@@ -21,6 +21,8 @@
 #include "vm/FastPath.h"
 #include "vm/Simd.h"
 
+#include "common/AccelMachines.h"
+
 #include <gtest/gtest.h>
 
 #include <random>
@@ -247,32 +249,6 @@ protected:
     return A;
   }
 
-  /// Two states that unconditionally ping-pong with constant emits: the
-  /// shape detectSpecPairs promotes to a speculative alternating pair.
-  Bst makePingPong() {
-    Bst A(Ctx, Ctx.bv(8), Ctx.bv(8), Ctx.bv(8), 2, 0, Value::bv(8, 0));
-    TermRef R = A.regVar();
-    A.setDelta(0, Rule::base({Ctx.bvConst(8, 0x11)}, 1, R));
-    A.setDelta(1, Rule::base({Ctx.bvConst(8, 0x22)}, 0, R));
-    A.setFinalizer(0, Rule::base({}, 0, R));
-    A.setFinalizer(1, Rule::base({}, 1, R));
-    return A;
-  }
-
-  /// bv(16) echo whose wide elements emit x+1: [256, 2^16) lands in a
-  /// Memo class with per-element pool values.
-  Bst makeWidePlusOne() {
-    Bst A(Ctx, Ctx.bv(16), Ctx.bv(16), Ctx.bv(16), 1, 0,
-          Value::bv(16, 0));
-    TermRef X = A.inputVar(), R = A.regVar();
-    A.setDelta(0, Rule::ite(Ctx.mkUlt(X, Ctx.bvConst(16, 256)),
-                            Rule::base({X}, 0, R),
-                            Rule::base({Ctx.mkAdd(X, Ctx.bvConst(16, 1))},
-                                       0, R)));
-    A.setFinalizer(0, Rule::base({}, 0, R));
-    return A;
-  }
-
   /// Fast path vs bytecode VM on \p In, whole-shot and chunked, under
   /// the currently active level.
   void expectOracle(const FastPathPlan &P, const CompiledTransducer &T,
@@ -328,7 +304,7 @@ TEST_F(SimdOracleTest, CopyLoopEveryLevel) {
 
 TEST_F(SimdOracleTest, SpecPairAlternatingEveryLevel) {
   LevelGuard G;
-  Bst A = makePingPong();
+  Bst A = test::makePingPong(Ctx);
   auto T = CompiledTransducer::compile(A);
   ASSERT_TRUE(T.has_value());
   FastPathPlan P = FastPathPlan::build(A, *T);
@@ -352,7 +328,7 @@ TEST_F(SimdOracleTest, SpecPairAlternatingEveryLevel) {
 
 TEST_F(SimdOracleTest, WideTableChunkedFeedsEveryLevel) {
   LevelGuard G;
-  Bst A = makeWidePlusOne();
+  Bst A = test::makeWidePlusOne(Ctx);
   auto T = CompiledTransducer::compile(A);
   ASSERT_TRUE(T.has_value());
   FastPathPlan P = FastPathPlan::build(A, *T);
