@@ -27,7 +27,9 @@
 #      worker pool and ordered stitch under TSan — and the `serve` label:
 #      the sharded server's event loops, cross-shard mailboxes and fd
 #      ownership (including the 100+ interleaved-connection test) under
-#      the same build.  Skippable with EFC_SKIP_TSAN=1.
+#      the same build.  Skippable with EFC_SKIP_TSAN=1.  Every
+#      label-filtered ctest call passes --no-tests=error, so a label that
+#      selects nothing fails the step instead of passing it empty.
 #   6. efc-serve smoke test: start a server, stream a CSV pipeline at it in
 #      7-byte chunks, and require byte-identical output to one-shot
 #      `efcc --run` on the same file.
@@ -92,14 +94,14 @@ echo "== [2/12] EFC_SIMD=scalar tier-1 (vector kernels forced off) =="
 if [ "${EFC_SKIP_SCALAR:-0}" = "1" ]; then
   echo "skipped (EFC_SKIP_SCALAR=1)"
 else
-  (cd "$BUILD" && EFC_SIMD=scalar ctest --output-on-failure -j -L tier1)
+  (cd "$BUILD" && EFC_SIMD=scalar ctest --output-on-failure --no-tests=error -j -L tier1)
 fi
 
 echo "== [3/12] EFC_VERIFY_IR=1 tier-1 (between-pass IR invariants) =="
 if [ "${EFC_SKIP_VERIFYIR:-0}" = "1" ]; then
   echo "skipped (EFC_SKIP_VERIFYIR=1)"
 else
-  (cd "$BUILD" && EFC_VERIFY_IR=1 ctest --output-on-failure -j -L tier1)
+  (cd "$BUILD" && EFC_VERIFY_IR=1 ctest --output-on-failure --no-tests=error -j -L tier1)
 fi
 
 echo "== [4/12] ASan+UBSan tier-1 =="
@@ -112,7 +114,7 @@ else
   # (clean .so into an ASan process) is supported, but don't let a stale
   # instrumented cache cross builds.
   (cd "$BUILD-asan" && EFC_CACHE_DIR=$(mktemp -d) \
-     ctest --output-on-failure -j -L tier1)
+     ctest --output-on-failure --no-tests=error -j -L tier1)
 fi
 
 echo "== [5/12] TSan parallel + serve suites =="
@@ -121,8 +123,8 @@ if [ "${EFC_SKIP_TSAN:-0}" = "1" ]; then
 else
   cmake -B "$BUILD-tsan" -S . -DEFC_SANITIZE=thread
   cmake --build "$BUILD-tsan" -j --target parallel_test --target serve_test
-  (cd "$BUILD-tsan" && ctest --output-on-failure -j -L parallel)
-  (cd "$BUILD-tsan" && ctest --output-on-failure -j -L serve)
+  (cd "$BUILD-tsan" && ctest --output-on-failure --no-tests=error -j -L parallel)
+  (cd "$BUILD-tsan" && ctest --output-on-failure --no-tests=error -j -L serve)
 fi
 
 echo "== [6/12] efc-serve smoke test =="

@@ -86,6 +86,11 @@ struct PassRun {
   double Seconds = 0;
   bool CacheHit = false;
   std::string Note;
+  /// The pass's effect on the IR, entering -> leaving (equal for plan
+  /// passes), and the solver checks it spent (0 on a cache hit).
+  unsigned StatesIn = 0, StatesOut = 0;
+  unsigned BranchesIn = 0, BranchesOut = 0;
+  uint64_t SolverChecks = 0;
 };
 
 /// The IR and derived artifacts flowing through the pipeline.  Artifacts

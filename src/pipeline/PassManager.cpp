@@ -204,7 +204,7 @@ PassManager::PassManager(std::vector<std::string> Passes)
 std::vector<std::string>
 PassManager::defaultPasses(bool Rbbe, bool Minimize, bool ParallelPlan) {
   std::vector<std::string> P{"fuse"};
-  if (Rbbe)
+  if (Rbbe || Minimize)
     P.push_back("rbbe");
   if (Minimize)
     P.push_back("minimize");
@@ -237,6 +237,24 @@ bool PassManager::run(PassContext &PC, const PipelineOptions &O,
 
     P->series().Runs->inc();
 
+    IrSnapshot Before;
+    if (PC.Ir)
+      Before = snapshotIr(*PC.Ir);
+    R.StatesIn = R.StatesOut = Before.States;
+    R.BranchesIn = R.BranchesOut = Before.Branches;
+    // fuse and rbbe are the passes that query a solver; each fills only
+    // its own stats, so the sum moves by what this pass spent.
+    auto SolverChecks = [&PC] {
+      return PC.FStats.SolverChecks + PC.RStats.SolverChecks;
+    };
+    uint64_t ChecksBefore = SolverChecks();
+    auto RecordEffect = [&] {
+      if (P->transformsIr() && PC.Ir) {
+        R.StatesOut = PC.Ir->numStates();
+        R.BranchesOut = PC.Ir->countBranches();
+      }
+    };
+
     // Raw-mode contexts (no IrChain) own their TermContext on the stack;
     // cached artifacts would dangle past it, so caching requires a chain.
     bool Cacheable = O.UseCache && P->cacheable() && PC.Chain != nullptr;
@@ -254,15 +272,12 @@ bool PassManager::run(PassContext &PC, const PipelineOptions &O,
           PC.IrHash = A.IrHash;
           R.OutHash = A.IrHash;
         }
+        RecordEffect();
         R.CacheHit = true;
         PC.Runs.push_back(std::move(R));
         continue;
       }
     }
-
-    IrSnapshot Before;
-    if (PC.Ir)
-      Before = snapshotIr(*PC.Ir);
 
     Stopwatch W;
     bool Ok;
@@ -309,6 +324,8 @@ bool PassManager::run(PassContext &PC, const PipelineOptions &O,
 
     if (P->transformsIr())
       R.OutHash = PC.IrHash;
+    RecordEffect();
+    R.SolverChecks = SolverChecks() - ChecksBefore;
     if (Cacheable) {
       PassArtifacts A;
       P->save(PC, A);

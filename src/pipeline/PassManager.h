@@ -50,8 +50,10 @@ public:
   /// run() with a diagnostic listing the registry.
   explicit PassManager(std::vector<std::string> Passes);
 
-  /// The serving pipeline for a spec: fuse [+ rbbe] [+ minimize] +
-  /// vm_compile + fastpath_plan [+ parallel_plan].
+  /// The serving pipeline for a spec, on the `efcc --opt-level` ladder:
+  /// fuse [+ rbbe] [+ minimize] + vm_compile + fastpath_plan
+  /// [+ parallel_plan], where rbbe runs when \p Rbbe or \p Minimize is
+  /// set (opt-level 1 and 2) and minimize only at level 2.
   static std::vector<std::string>
   defaultPasses(bool Rbbe, bool Minimize, bool ParallelPlan = true);
 

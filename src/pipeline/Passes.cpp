@@ -111,6 +111,8 @@ public:
 /// Reachability-based branch elimination (paper §4).
 class RbbePass : public Pass {
 public:
+  RbbePass() { registerRbbeMetrics(); }
+
   std::string_view name() const override { return "rbbe"; }
 
   uint64_t optionsHash(const PipelineOptions &O) const override {

@@ -251,7 +251,33 @@ private:
   }
 };
 
+/// The efc_rbbe_* registry series, bound once per process.
+struct RbbeSeries {
+  metrics::Counter &Runs, &Removed, &StatesRemoved, &ReachCalls,
+      &UnderApproxHits;
+  metrics::DoubleCounter &Seconds;
+
+  static const RbbeSeries &get() {
+    auto &R = metrics::Registry::instance();
+    static const RbbeSeries S{
+        R.counter("efc_rbbe_runs_total",
+                  "eliminateUnreachableBranches() invocations"),
+        R.counter("efc_rbbe_branches_removed_total",
+                  "Unreachable branches eliminated"),
+        R.counter("efc_rbbe_states_removed_total",
+                  "States removed as unreachable"),
+        R.counter("efc_rbbe_reach_calls_total", "Reachability queries issued"),
+        R.counter("efc_rbbe_underapprox_hits_total",
+                  "Leaves proven reachable by the forward under-approximation"),
+        R.dcounter("efc_rbbe_seconds_total",
+                   "Wall time spent in eliminateUnreachableBranches()")};
+    return S;
+  }
+};
+
 } // namespace
+
+void efc::registerRbbeMetrics() { RbbeSeries::get(); }
 
 Bst efc::eliminateUnreachableBranches(const Bst &A, Solver &S,
                                       const RbbeOptions &Opts,
@@ -267,27 +293,13 @@ Bst efc::eliminateUnreachableBranches(const Bst &A, Solver &S,
   S.setConflictBudget(SavedBudget);
   St.Seconds = Timer.seconds();
 
-  namespace mx = metrics;
-  static mx::Counter &Runs = mx::Registry::instance().counter(
-      "efc_rbbe_runs_total", "eliminateUnreachableBranches() invocations");
-  static mx::Counter &Removed = mx::Registry::instance().counter(
-      "efc_rbbe_branches_removed_total", "Unreachable branches eliminated");
-  static mx::Counter &StatesRm = mx::Registry::instance().counter(
-      "efc_rbbe_states_removed_total", "States removed as unreachable");
-  static mx::Counter &Reach = mx::Registry::instance().counter(
-      "efc_rbbe_reach_calls_total", "Reachability queries issued");
-  static mx::Counter &Under = mx::Registry::instance().counter(
-      "efc_rbbe_underapprox_hits_total",
-      "Leaves proven reachable by the forward under-approximation");
-  static mx::DoubleCounter &Secs = mx::Registry::instance().dcounter(
-      "efc_rbbe_seconds_total",
-      "Wall time spent in eliminateUnreachableBranches()");
-  Runs.inc();
-  Removed.inc(St.BranchesRemoved + St.FinalBranchesRemoved);
-  StatesRm.inc(St.StatesRemoved);
-  Reach.inc(St.ReachCalls);
-  Under.inc(St.UnderApproxHits);
-  Secs.add(St.Seconds);
+  const RbbeSeries &M = RbbeSeries::get();
+  M.Runs.inc();
+  M.Removed.inc(St.BranchesRemoved + St.FinalBranchesRemoved);
+  M.StatesRemoved.inc(St.StatesRemoved);
+  M.ReachCalls.inc(St.ReachCalls);
+  M.UnderApproxHits.inc(St.UnderApproxHits);
+  M.Seconds.add(St.Seconds);
 
   Sp.note("branches_removed",
           (uint64_t)(St.BranchesRemoved + St.FinalBranchesRemoved));

@@ -68,6 +68,11 @@ Bst eliminateUnreachableBranches(const Bst &A, Solver &S,
                                  const RbbeOptions &Opts = {},
                                  RbbeStats *Stats = nullptr);
 
+/// Registers the efc_rbbe_* metrics series (idempotent).  The pipeline's
+/// `rbbe` pass calls it when it registers, so a process that compiles
+/// without RBBE still exports the series, at 0.
+void registerRbbeMetrics();
+
 } // namespace efc
 
 #endif // EFC_RBBE_RBBE_H

@@ -6,7 +6,7 @@
 /// format + optimization flags — content-hashes to a cache key, and the
 /// cache holds the expensive derived artifacts behind that key:
 ///
-///   * the fused + RBBE'd (+ minimized) BST,
+///   * the fused BST (RBBE'd at opt-level 1, also minimized at 2),
 ///   * its bytecode-VM compilation, and
 ///   * lazily, the dlopen'd native .so (whose build is additionally
 ///     backed by NativeTransducer's on-disk artifact cache, so a warm
@@ -54,8 +54,13 @@ struct PipelineSpec {
   std::string Pattern;          ///< regex pattern or XPath query
   std::string Agg = "none";     ///< max | min | avg | none
   std::string Format = "lines"; ///< decimal | lines | sql
-  bool Rbbe = true;             ///< reachability-based branch elimination
-  bool Minimize = false;        ///< control-state minimization
+  /// The optimization ladder of `efcc --opt-level`: 0 = fuse (the
+  /// default), 1 = fuse + rbbe (Rbbe), 2 = fuse + rbbe + minimize
+  /// (Minimize, whatever Rbbe says).  RBBE is off by default because on
+  /// the served pipelines it removes nothing at serving budgets yet takes
+  /// most of a cold compile (EXPERIMENTS.md "RBBE at serving settings").
+  bool Rbbe = false;     ///< reachability-based branch elimination
+  bool Minimize = false; ///< rbbe + control-state minimization
   /// RBBE solver-check budget override; 0 keeps RbbeOptions'
   /// MaxSolverChecks default.  Serialized (and therefore part of the
   /// cache key / wire format) only when non-zero, so existing keys and
@@ -70,7 +75,9 @@ struct PipelineSpec {
   /// FNV-1a of canonical() (used for artifact tags and diagnostics).
   uint64_t hash() const;
   /// Inverse of canonical(); unknown keys and malformed values are
-  /// rejected with a message in \p Err.
+  /// rejected with a message in \p Err.  Absent keys keep their
+  /// defaults, so a spec without `rbbe=` compiles at opt-level 0, and
+  /// `minimize=1` selects opt-level 2 (rbbe runs too) even with `rbbe=0`.
   static std::optional<PipelineSpec> parse(const std::string &Text,
                                            std::string *Err = nullptr);
 };

@@ -1,6 +1,7 @@
 //===- tests/integration/CliToolTest.cpp - efcc end-to-end ----------------===//
 
 #include "common/TempPath.h"
+#include "runtime/PipelineCache.h"
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace {
 
@@ -123,12 +125,13 @@ TEST(CliToolTest, MetricsDumpOnStderr) {
                          Csv + " --metrics",
                      Err);
   EXPECT_EQ(Rc, 0);
-  // A fresh process exercised solver, fusion, RBBE, cache and fast path;
-  // all must appear in the Prometheus dump.
+  // A fresh process exercised solver, fusion, cache and fast path; all
+  // must appear in the Prometheus dump.  The default opt-level does not
+  // run RBBE, yet its series exist from the rbbe pass's registration.
   for (const char *Family :
        {"# TYPE efc_solver_checks_total counter", "efc_fusion_runs_total",
-        "efc_rbbe_runs_total 1", "efc_cache_builds_total 1",
-        "efc_fastpath_runs_total"})
+        "efc_rbbe_runs_total 0", "efc_rbbe_seconds_total 0",
+        "efc_cache_builds_total 1", "efc_fastpath_runs_total"})
     EXPECT_NE(Err.find(Family), std::string::npos)
         << "missing from --metrics dump: " << Family << "\n" << Err;
   // --run output stays machine-clean: the dump must not be on stdout.
@@ -154,7 +157,8 @@ TEST(CliToolTest, TraceEmitsCompileSpanTree) {
   std::string Out;
   int Rc = runCmd("EFC_TRACE=" + Trace + " " + efccPath() +
                       " --regex '(?:(?:[^,\\n]*,){1}(?<v>\\d+),"
-                      "[^\\n]*\\n)*' --agg max --format decimal --run " +
+                      "[^\\n]*\\n)*' --agg max --format decimal"
+                      " --opt-level 1 --run " +
                       Csv,
                   Out);
   EXPECT_EQ(Rc, 0);
@@ -252,6 +256,166 @@ TEST(CliToolTest, ParallelRunMatchesSequential) {
             0);
   EXPECT_EQ(Seq, Par);
   EXPECT_EQ(Seq, "9996");
+}
+
+const char *const CsvMaxRegex =
+    "(?:(?:[^,\\n]*,){1}(?<v>\\d+),[^\\n]*\\n)*";
+
+/// `efcc --explain-passes` over the CSV-max pipeline, plus \p Flags.
+std::string explainPasses(const std::string &Flags) {
+  std::string Out;
+  EXPECT_EQ(runCmd(efccPath() + " --regex '" + CsvMaxRegex +
+                       "' --agg max --format decimal --explain-passes" +
+                       Flags,
+                   Out),
+            0)
+      << Flags;
+  return Out;
+}
+
+/// One "  ran NAME: ..." line of `efcc --explain-passes`.
+struct RanLine {
+  std::string Pass;
+  unsigned StatesIn = 0, StatesOut = 0, BranchesIn = 0, BranchesOut = 0;
+  unsigned long long Checks = 0;
+};
+
+std::vector<RanLine> ranLines(const std::string &Explain) {
+  std::vector<RanLine> Lines;
+  std::istringstream In(Explain);
+  for (std::string L; std::getline(In, L);) {
+    char Name[64];
+    unsigned long long InH, OutH;
+    double Secs;
+    RanLine R;
+    if (L.rfind("  ran ", 0) != 0)
+      continue;
+    int N = sscanf(L.c_str(),
+                   "  ran %63[^:]: in=%llx out=%llx %lfs states %u->%u "
+                   "branches %u->%u checks %llu",
+                   Name, &InH, &OutH, &Secs, &R.StatesIn, &R.StatesOut,
+                   &R.BranchesIn, &R.BranchesOut, &R.Checks);
+    EXPECT_EQ(N, 9) << "unparsed pass line: " << L;
+    R.Pass = Name;
+    Lines.push_back(R);
+  }
+  return Lines;
+}
+
+std::vector<std::string> passNames(const std::vector<RanLine> &Lines) {
+  std::vector<std::string> Names;
+  for (const RanLine &R : Lines)
+    Names.push_back(R.Pass);
+  return Names;
+}
+
+/// The pass list PipelineCache::get runs for \p Spec.
+std::vector<std::string> cachePasses(const efc::runtime::PipelineSpec &Spec) {
+  efc::runtime::PipelineCache Cache(1);
+  std::string Err;
+  auto P = Cache.get(Spec, /*WantNative=*/false, &Err);
+  EXPECT_TRUE(P) << Err;
+  std::vector<std::string> Names;
+  if (P)
+    for (const efc::pipeline::PassRun &R : P->PassRuns)
+      Names.push_back(R.PassName);
+  return Names;
+}
+
+// efcc's --opt-level ladder and PipelineSpec select the same passes:
+// level 0 = {}, 1 = {Rbbe}, 2 = {Minimize} at the default Rbbe.  A
+// client's spec then compiles exactly what the matching efcc level does.
+TEST(CliToolTest, OptLevelLadderMatchesPipelineSpec) {
+  if (!efccAvailable())
+    GTEST_SKIP();
+  const std::vector<std::string> Plans = {"vm_compile", "fastpath_plan",
+                                          "parallel_plan"};
+  auto withPlans = [&](std::vector<std::string> Ir) {
+    Ir.insert(Ir.end(), Plans.begin(), Plans.end());
+    return Ir;
+  };
+  const std::vector<std::vector<std::string>> Want = {
+      withPlans({"fuse"}), withPlans({"fuse", "rbbe"}),
+      withPlans({"fuse", "rbbe", "minimize"})};
+
+  efc::runtime::PipelineSpec Base;
+  Base.Pattern = CsvMaxRegex;
+  Base.Agg = "max";
+  Base.Format = "decimal";
+  efc::runtime::PipelineSpec Level[3] = {Base, Base, Base};
+  Level[1].Rbbe = true;
+  Level[2].Minimize = true;
+
+  for (unsigned L = 0; L < 3; ++L) {
+    std::vector<std::string> Efcc =
+        passNames(ranLines(explainPasses(" --opt-level " + std::to_string(L))));
+    EXPECT_EQ(Efcc, Want[L]) << "efcc --opt-level " << L;
+    EXPECT_EQ(cachePasses(Level[L]), Want[L]) << "PipelineSpec, level " << L;
+  }
+
+  // Neither the default efcc nor the default spec runs rbbe.
+  EXPECT_EQ(passNames(ranLines(explainPasses(""))), Want[0]);
+  EXPECT_EQ(cachePasses(Base), Want[0]);
+
+  // minimize=1 is level 2 on the wire too, even beside rbbe=0.
+  std::string Err;
+  auto Parsed = efc::runtime::PipelineSpec::parse(
+      "frontend=regex\npattern=" + std::string(CsvMaxRegex) +
+          "\nagg=max\nformat=decimal\nrbbe=0\nminimize=1\n",
+      &Err);
+  ASSERT_TRUE(Parsed) << Err;
+  EXPECT_EQ(cachePasses(*Parsed), Want[2]);
+}
+
+// --explain-passes prints each pass's effect beside its time, so a pass
+// that costs much and removes nothing shows without a benchmark.
+TEST(CliToolTest, ExplainPassesShowsEachPassEffect) {
+  if (!efccAvailable())
+    GTEST_SKIP();
+  std::vector<RanLine> Lines = ranLines(explainPasses(" --opt-level 2"));
+  ASSERT_EQ(Lines.size(), 6u);
+  const RanLine &Fuse = Lines[0], &Rbbe = Lines[1], &Min = Lines[2];
+  ASSERT_EQ(Fuse.Pass, "fuse");
+  // fuse starts from no IR and spends solver checks pruning the product.
+  EXPECT_EQ(Fuse.StatesIn, 0u);
+  EXPECT_EQ(Fuse.BranchesIn, 0u);
+  EXPECT_GT(Fuse.StatesOut, 0u);
+  EXPECT_GT(Fuse.BranchesOut, 0u);
+  EXPECT_GT(Fuse.Checks, 0u);
+  // rbbe enters with what fuse left and may only remove.
+  ASSERT_EQ(Rbbe.Pass, "rbbe");
+  EXPECT_EQ(Rbbe.StatesIn, Fuse.StatesOut);
+  EXPECT_EQ(Rbbe.BranchesIn, Fuse.BranchesOut);
+  EXPECT_LE(Rbbe.StatesOut, Rbbe.StatesIn);
+  EXPECT_LE(Rbbe.BranchesOut, Rbbe.BranchesIn);
+  EXPECT_GT(Rbbe.Checks, 0u);
+  // minimize uses no solver.
+  ASSERT_EQ(Min.Pass, "minimize");
+  EXPECT_EQ(Min.StatesIn, Rbbe.StatesOut);
+  EXPECT_LE(Min.StatesOut, Min.StatesIn);
+  EXPECT_EQ(Min.Checks, 0u);
+  // Plan passes leave the IR as it is.
+  for (size_t I = 3; I < Lines.size(); ++I) {
+    EXPECT_EQ(Lines[I].StatesIn, Lines[I].StatesOut) << Lines[I].Pass;
+    EXPECT_EQ(Lines[I].BranchesIn, Min.BranchesOut) << Lines[I].Pass;
+    EXPECT_EQ(Lines[I].BranchesOut, Min.BranchesOut) << Lines[I].Pass;
+    EXPECT_EQ(Lines[I].Checks, 0u) << Lines[I].Pass;
+  }
+}
+
+// Off-ladder requests are usage errors, not silently different compiles.
+TEST(CliToolTest, RemovedAndOffLadderFlagsAreRejected) {
+  if (!efccAvailable())
+    GTEST_SKIP();
+  std::string Err;
+  const std::string Rx = std::string(" --regex '") + CsvMaxRegex + "'";
+  EXPECT_EQ(runCmdErr(efccPath() + Rx + " --no-rbbe --stats", Err), 2 << 8);
+  EXPECT_NE(Err.find("unknown option '--no-rbbe'"), std::string::npos)
+      << Err;
+  EXPECT_EQ(runCmdErr(efccPath() + Rx + " --passes fuse,minimize --stats",
+                      Err),
+            2 << 8);
+  EXPECT_NE(Err.find("minimize runs after rbbe"), std::string::npos) << Err;
 }
 
 } // namespace

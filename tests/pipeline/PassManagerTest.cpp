@@ -174,12 +174,14 @@ TEST(PassCache, RbbeBudgetOnlyChangeReusesFusedArtifact) {
   pipeline::PassManager::resetCacheForTests();
   PassCacheDelta St;
 
+  runtime::PipelineSpec Spec = maxSpec();
+  Spec.Rbbe = true;
   runtime::PipelineCache Cache(4);
   std::string Err;
-  auto P1 = Cache.get(maxSpec(), false, &Err);
+  auto P1 = Cache.get(Spec, false, &Err);
   ASSERT_TRUE(P1) << Err;
 
-  runtime::PipelineSpec Respec = maxSpec();
+  runtime::PipelineSpec Respec = Spec;
   Respec.RbbeBudget = 64; // different spec key → full PipelineCache miss
   auto P2 = Cache.get(Respec, false, &Err);
   ASSERT_TRUE(P2) << Err;

@@ -93,7 +93,7 @@ TEST(PipelineSpec, HashDistinguishesFields) {
   PipelineSpec B = A;
   B.Agg = "min";
   PipelineSpec C = A;
-  C.Rbbe = false;
+  C.Rbbe = true;
   EXPECT_NE(A.hash(), B.hash());
   EXPECT_NE(A.hash(), C.hash());
   EXPECT_NE(A.canonical(), B.canonical());

@@ -56,8 +56,7 @@ int usage(const char *Msg = nullptr) {
           "Q)\n"
           "                 [--agg max|min|avg|none] [--format "
           "decimal|lines|sql]\n"
-          "                 [--backend vm|fastpath|native] [--no-rbbe] "
-          "[--minimize]\n"
+          "                 [--backend vm|fastpath|native] [--minimize]\n"
           "       efc-serve <endpoint> --feed NAME --file F [--chunk N]\n"
           "       efc-serve <endpoint> --finish NAME\n"
           "       efc-serve <endpoint> --close NAME\n"
@@ -171,8 +170,7 @@ int main(int argc, char **argv) {
   int TcpPort = -1; // -1: no TCP
   size_t CacheCap = 32, Chunk = 4096;
   uint64_t IdleMs = 0, DrainMs = 5000;
-  bool Stats = false, Metrics = false, Shutdown = false, DoRbbe = true,
-       DoMinimize = false;
+  bool Stats = false, Metrics = false, Shutdown = false, DoMinimize = false;
 
   for (int I = 1; I < argc; ++I) {
     std::string A = argv[I];
@@ -274,8 +272,6 @@ int main(int argc, char **argv) {
       if (!env::parseU64(V, N) || N == 0)
         return usage("--chunk needs a positive byte count");
       Chunk = size_t(N);
-    } else if (A == "--no-rbbe") {
-      DoRbbe = false;
     } else if (A == "--minimize") {
       DoMinimize = true;
     } else if (A == "--stats") {
@@ -357,7 +353,6 @@ int main(int argc, char **argv) {
     Spec.Pattern = Regex.empty() ? XPath : Regex;
     Spec.Agg = Agg;
     Spec.Format = Format;
-    Spec.Rbbe = DoRbbe;
     Spec.Minimize = DoMinimize;
     std::string Req = "O" + Name + "\n" + Backend + "\n" + Spec.canonical();
     Rc = simpleRequest(Fd, Req);

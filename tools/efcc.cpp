@@ -16,20 +16,21 @@
 //                    as decimal ints)
 //   --agg K          max | min | avg | none        (default: none)
 //   --format K       decimal | lines | sql         (default: lines)
-//   --no-rbbe        skip reachability-based branch elimination
-//   --minimize       run control-state minimization
-//   --opt-level N    0 = fuse only, 1 = fuse+rbbe (default), 2 =
+//   --opt-level N    0 = fuse only (default), 1 = fuse+rbbe, 2 =
 //                    fuse+rbbe+minimize
+//   --minimize       alias for --opt-level 2
 //   --passes LIST    comma-separated IR pass list (fuse[,rbbe][,minimize])
-//                    overriding the flags above; the artifact passes
-//                    (vm_compile, fastpath_plan, parallel_plan) always run
+//                    overriding the flags above; minimize needs rbbe.
+//                    The artifact passes (vm_compile, fastpath_plan,
+//                    parallel_plan) always run
 //   --rbbe-budget N  RBBE solver-check budget override (0 = library
 //                    default); only re-keys the rbbe pass, so the cached
 //                    fusion artifact is reused across budget changes
 //   --explain-passes print the pass plan (name, kind, cacheability,
 //                    options fingerprint) and, per executed pass, the
-//                    entering/leaving IR hash, wall time and cache-hit
-//                    flag to stdout
+//                    entering/leaving IR hash, wall time, cache-hit flag,
+//                    states and branches entering -> leaving, and solver
+//                    checks spent, to stdout
 //   --run FILE       execute over FILE, write output bytes to stdout
 //   --parallel N     run --run input through the data-parallel executor
 //                    (src/parallel/) with N threads.  Requires the
@@ -93,8 +94,8 @@ int usage(const char *Msg = nullptr) {
     fprintf(stderr, "efcc: %s\n", Msg);
   fprintf(stderr,
           "usage: efcc (--regex P | --xpath Q) [--agg max|min|avg|none]\n"
-          "            [--format decimal|lines|sql] [--no-rbbe]\n"
-          "            [--minimize] [--opt-level 0|1|2] [--passes LIST]\n"
+          "            [--format decimal|lines|sql]\n"
+          "            [--opt-level 0|1|2] [--minimize] [--passes LIST]\n"
           "            [--rbbe-budget N] [--stats] [--metrics]\n"
           "            [--explain-fastpath] [--explain-passes]\n"
           "            [--certify] [--certify-budget-ms N]\n"
@@ -108,7 +109,7 @@ int usage(const char *Msg = nullptr) {
 int main(int argc, char **argv) {
   std::string Regex, XPath, Agg = "none", Format = "lines";
   std::string RunFile, EmitFile, Backend = "fastpath";
-  bool DoRbbe = true, DoMinimize = false, Stats = false, Metrics = false;
+  bool DoRbbe = false, DoMinimize = false, Stats = false, Metrics = false;
   bool ExplainFastPath = false, ExplainPasses = false, Certify = false;
   double CertifyBudgetMs = 5000;
   uint64_t RbbeBudget = 0;
@@ -152,8 +153,6 @@ int main(int argc, char **argv) {
         EmitFile = V;
       else
         return usage("--emit-cpp needs a file");
-    } else if (A == "--no-rbbe") {
-      DoRbbe = false;
     } else if (A == "--minimize") {
       DoMinimize = true;
     } else if (A == "--opt-level") {
@@ -254,6 +253,9 @@ int main(int argc, char **argv) {
     }
     if (!SawFuse)
       return usage("--passes must include 'fuse'");
+    if (DoMinimize && !DoRbbe)
+      return usage("--passes: minimize runs after rbbe (opt-level 2 is "
+                   "fuse,rbbe,minimize)");
   }
   if (Backend != "vm" && Backend != "fastpath" && Backend != "native")
     return usage(("unknown backend '" + Backend + "'").c_str());
@@ -301,7 +303,7 @@ int main(int argc, char **argv) {
             "(%.2fs, %llu solver checks)\n",
             P->NumStages, P->Fused->numStates(), P->Fused->countBranches(),
             P->FStats.Seconds, (unsigned long long)P->FStats.SolverChecks);
-    if (DoRbbe)
+    if (DoRbbe || DoMinimize)
       fprintf(stderr, "efcc: RBBE removed %u branches in %.2fs\n",
               P->RStats.BranchesRemoved + P->RStats.FinalBranchesRemoved,
               P->RStats.Seconds);
@@ -324,9 +326,12 @@ int main(int argc, char **argv) {
             .explain(PO);
     fputs(Plan.c_str(), stdout);
     for (const pipeline::PassRun &R : P->PassRuns)
-      printf("  ran %s: in=%016llx out=%016llx %.3fs%s%s%s\n",
+      printf("  ran %s: in=%016llx out=%016llx %.3fs states %u->%u "
+             "branches %u->%u checks %llu%s%s%s\n",
              R.PassName.c_str(), (unsigned long long)R.InHash,
-             (unsigned long long)R.OutHash, R.Seconds,
+             (unsigned long long)R.OutHash, R.Seconds, R.StatesIn,
+             R.StatesOut, R.BranchesIn, R.BranchesOut,
+             (unsigned long long)R.SolverChecks,
              R.CacheHit ? " (cache hit)" : "",
              R.Note.empty() ? "" : " ", R.Note.c_str());
   }
